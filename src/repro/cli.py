@@ -161,15 +161,12 @@ def _checkpoint(args, sweep: str, always: bool = False) -> Optional[SweepCheckpo
 
 
 def _broker(args):
-    """SweepBroker for ``--backend remote``, or None for local runs."""
-    backend = getattr(args, "backend", "local")
-    if backend != "remote":
+    """SweepBroker for ``--listen``, or None when no remote workers join."""
+    if not getattr(args, "listen", None):
         return None
-    from repro.runtime.distributed import DEFAULT_BROKER_PORT, SweepBroker
+    from repro.runtime.distributed import SweepBroker
 
-    host, port = "127.0.0.1", DEFAULT_BROKER_PORT
-    if args.listen:
-        host, port = _host_port(args.listen, flag="--listen")
+    host, port = _host_port(args.listen, flag="--listen")
     return SweepBroker(host=host, port=port)
 
 
@@ -178,15 +175,13 @@ def _executor(
     progress: Optional[SweepInstrumentation] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
 ) -> SweepExecutor:
-    broker = _broker(args)
     return SweepExecutor(
         max_workers=args.workers,
         cache=None if args.no_cache else ResultCache(args.cache_dir),
         progress=progress or SweepInstrumentation(),
         retry=_retry_policy(args),
         checkpoint=checkpoint,
-        backend="remote" if broker is not None else "local",
-        broker=broker,
+        broker=_broker(args),
     )
 
 
@@ -1124,7 +1119,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def runtime(sp):
         sp.add_argument("--workers", type=int, default=1,
-                        help="processes to fan sweep cells across (default 1)")
+                        help="local worker processes to fan sweep cells across "
+                             "(default 1: in-process, or with --listen remote "
+                             "workers only)")
         sp.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
         sp.add_argument("--cache-dir", default=None,
@@ -1139,13 +1136,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--checkpoint", metavar="FILE", default=None,
                         help="checkpoint manifest path (default: "
                              "<cache-dir>/checkpoints/<sweep>.manifest.jsonl)")
-        sp.add_argument("--backend", choices=("local", "remote"), default="local",
-                        help="where cells execute: this host's process pool "
-                             "(local) or remote workers served by a broker "
-                             "(remote; see 'repro worker')")
         sp.add_argument("--listen", metavar="HOST:PORT", default=None,
-                        help="broker bind address for --backend remote "
-                             "(default 127.0.0.1:8474)")
+                        help="also serve sweep cells to remote workers "
+                             "('repro worker --connect HOST:PORT') from this "
+                             "address")
 
     sp = sub.add_parser("run", help="run one workload under one design")
     common(sp)
@@ -1391,7 +1385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "worker",
         help="join a remote sweep: lease cells from a broker "
-             "(run/compare/figure --backend remote) and stream results back",
+             "(run/compare/figure --listen) and stream results back",
     )
     sp.add_argument("--connect", metavar="HOST:PORT", required=True,
                     help="broker address (the sweep's --listen)")

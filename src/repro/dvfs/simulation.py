@@ -94,7 +94,6 @@ class DvfsSimulation:
         collect_accuracy: bool = False,
         max_epochs: int = 5_000,
         oracle_sample_freqs: Optional[int] = None,
-        oracle_workers: int = 1,
         power_manager: Optional["HierarchicalPowerManager"] = None,
         telemetry: Optional["EpochTraceRecorder"] = None,
         tracer: Optional["Tracer"] = None,
@@ -112,11 +111,7 @@ class DvfsSimulation:
             predictor.needs_elapsed_truth or predictor.needs_future_truth or collect_accuracy
         )
         self._oracle = (
-            OracleSampler(
-                sim_config,
-                n_sample_freqs=oracle_sample_freqs,
-                max_workers=oracle_workers,
-            )
+            OracleSampler(sim_config, n_sample_freqs=oracle_sample_freqs)
             if self.needs_truth
             else None
         )
@@ -261,10 +256,6 @@ class DvfsSimulation:
                         transitions=changed,
                     )
         finally:
-            # A raising kernel/predictor must not leak the oracle's
-            # worker pool (its processes outlive the exception).
-            if self._oracle is not None:
-                self._oracle.close()
             if run_span is not None:
                 tr.finish(run_span, epochs=epochs)
 

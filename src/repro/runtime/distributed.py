@@ -1,8 +1,10 @@
-"""Distributed sweep backend: one broker, many worker hosts, one grid.
+"""The sweep scheduler: one broker, local and remote workers, one grid.
 
-The process-pool :class:`~repro.runtime.executor.SweepExecutor` scales a
-sweep across the cores of one machine; this module scales it across
-machines while keeping every guarantee the pool backend makes:
+Every parallel :class:`~repro.runtime.executor.SweepExecutor` sweep runs
+through a :class:`SweepBroker`: it binds a listener, starts the
+executor's ``max_workers`` local :class:`SweepWorker` processes, and
+leases cells to them and to any remote ``repro worker`` hosts that
+connect. One implementation of these guarantees serves both:
 
 * **Bit-identical results.** Workers execute the exact same
   :func:`~repro.runtime.executor.run_task` path as a serial run and ship
@@ -11,7 +13,10 @@ machines while keeping every guarantee the pool backend makes:
   :func:`~repro.analysis.trace_io.run_result_to_dict` payload; the
   broker re-derives the dict from the unpickled result and rejects the
   cell as corrupt when the two disagree. ``run(tasks)[i]`` still belongs
-  to ``tasks[i]``, whatever order workers finished in.
+  to ``tasks[i]``, whatever order workers finished in. A cell whose task
+  does not survive the wire with its cache key intact (e.g. an
+  objective carrying state the wire form drops) is never leased: it
+  runs in-process on the executor thread, and the sweep notes why.
 * **Exactly-once cells.** Every cell is leased to at most one worker at
   a time; a result is accepted only from the current leaseholder at the
   current attempt, so a reassigned-then-late-arriving result (the dead
@@ -20,25 +25,27 @@ machines while keeping every guarantee the pool backend makes:
   :class:`~repro.runtime.cache.ResultCache` key and the
   :class:`~repro.runtime.checkpoint.SweepCheckpoint` manifest, whose
   ``record`` is idempotent - the manifest can never hold a key twice.
-* **Fault tolerance under the existing RetryPolicy accounting.** Leases
-  carry deadlines; workers renew them with heartbeats while computing.
-  A dead worker (connection drops - e.g. SIGKILL) or a hung one (lease
-  deadline passes, or the hard per-lease ceiling derived from
-  ``task_timeout_s`` is hit while heartbeats keep arriving) has its cell
-  *reclaimed*: the failed attempt is charged against
-  ``RetryPolicy.max_attempts``, the jitterless backoff schedule gates
-  when the cell may be re-leased, and exhaustion follows
-  ``on_exhausted`` exactly as in the pool backend. Reclaims are counted
-  as ``sweep_cells_reclaimed`` in the sweep's
-  :class:`~repro.runtime.progress.SweepInstrumentation` registry.
-  (One deviation: ``serial_final_attempt`` does not apply - the broker
-  never computes cells locally, every attempt runs on a worker.)
+* **Fault tolerance under the RetryPolicy accounting.** Leases carry
+  deadlines; workers renew them with heartbeats while computing. A
+  dead worker (connection drops - e.g. SIGKILL) or a silent one (lease
+  deadline passes) has its cell *reclaimed* as :class:`LeaseExpired`;
+  an attempt still running ``task_timeout_s`` after its lease was
+  granted is reclaimed as
+  :class:`~repro.runtime.executor.SweepTimeoutError`, heartbeats or
+  not. A reclaimed local worker process is terminated and replaced.
+  Each failed attempt is charged against ``RetryPolicy.max_attempts``,
+  the jitterless backoff schedule gates when the cell may be leased
+  again, ``serial_final_attempt`` runs the last attempt in-process
+  when this host has local workers, and exhaustion follows
+  ``on_exhausted``. Reclaims are counted as ``sweep_cells_reclaimed``
+  in the sweep's :class:`~repro.runtime.progress.SweepInstrumentation`
+  registry.
 * **Cross-host spans.** The broker opens the usual ``cell`` span per
   attempt and ships its :class:`~repro.obs.trace.SpanContext` in the
   task frame; the worker joins the trace with
   :meth:`~repro.obs.trace.Tracer.from_context` and returns its span
-  records with the result, so run/epoch/oracle_sample spans from remote
-  hosts nest under the broker's sweep span exactly like pool workers'.
+  records with the result, so run/epoch/oracle_sample spans from any
+  worker nest under the executor's sweep span.
 
 Wire protocol
 -------------
@@ -55,8 +62,9 @@ worker. Worker to broker::
 
 Broker to worker: ``hello_ok {lease_s, heartbeat_s, n_tasks}``,
 ``task {index, attempt, key, task, lease_s, span}``,
-``idle {retry_after_s}`` (nothing runnable right now), ``done`` (sweep
-complete), ``ack {accepted}``, ``bye``, ``error {error}``.
+``idle {retry_after_s}`` (nothing became runnable while the broker held
+the ``ready``), ``done`` (sweep complete), ``ack {accepted}``, ``bye``,
+``error {error}``.
 
 Tasks cross the wire in JSON (config via the telemetry schema's
 canonical form, objectives via their canonical class + state); the
@@ -69,6 +77,7 @@ hosts) fails loudly before a single wrong number is computed.
 from __future__ import annotations
 
 import base64
+import multiprocessing
 import os
 import pickle
 import socket
@@ -79,7 +88,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, 
 
 from repro.obs.log import get_logger
 from repro.runtime.faults import CorruptResult, CorruptResultError, InjectedFaultError
-from repro.runtime.progress import SOURCE_REMOTE
+from repro.runtime.progress import SOURCE_PARALLEL, SOURCE_REMOTE, SOURCE_SERIAL
 from repro.runtime.wire import (
     FrameReceiver,
     ProtocolError,
@@ -141,7 +150,7 @@ class WorkerError(RuntimeError):
 # Task + result wire codecs
 
 #: Worker-side failure types the broker rebuilds as their real classes,
-#: so retryability and the fault counters behave as in the pool backend.
+#: so retryability and the fault counters behave as in a serial sweep.
 def _error_registry() -> Dict[str, type]:
     from repro.runtime.executor import SweepTimeoutError
 
@@ -254,31 +263,56 @@ class _Lease:
     worker: str
     attempt: int
     deadline: float  # monotonic; renewed by heartbeats
-    hard_deadline: Optional[float]  # monotonic ceiling (task_timeout_s)
+    timeout_at: Optional[float]  # monotonic; grant + task_timeout_s
     span: Optional["Span"] = None
 
     def renew(self, lease_s: float) -> None:
-        deadline = time.monotonic() + lease_s
-        if self.hard_deadline is not None:
-            deadline = min(deadline, self.hard_deadline)
-        self.deadline = deadline
+        self.deadline = time.monotonic() + lease_s
 
     @property
-    def expired(self) -> bool:
-        return time.monotonic() > self.deadline
+    def due(self) -> float:
+        """When the reaper must next look at this lease."""
+        if self.timeout_at is None:
+            return self.deadline
+        return min(self.deadline, self.timeout_at)
+
+
+def _wire_form(task: "SweepTask", key: str) -> Optional[Dict[str, object]]:
+    """``task``'s wire form, or None when the task does not survive the
+    wire with its cache ``key`` intact."""
+    try:
+        wire = sweep_task_to_wire(task)
+        if sweep_task_from_wire(wire).key() == key:
+            return wire
+    except (ProtocolError, AttributeError, TypeError, ValueError):
+        pass
+    return None
+
+
+def _local_worker(host: str, port: int, name: str) -> None:
+    """Entry point of a local worker process.
+
+    The listener is up before any local worker starts, so a failed
+    connect means the sweep is already over: give up at once.
+    """
+    try:
+        SweepWorker(host=host, port=port, name=name, connect_timeout_s=0.0).run()
+    except WorkerError:
+        pass  # the broker is gone; it reaps and, if needed, replaces us
 
 
 class SweepBroker:
-    """Serves one sweep's task grid to remote workers over TCP.
+    """Serves one sweep's task grid to worker processes over TCP.
 
-    Attach to a :class:`~repro.runtime.executor.SweepExecutor` via
-    ``SweepExecutor(backend="remote", broker=SweepBroker(...))``; the
-    executor's ``run()`` then blocks in :meth:`serve` until every
-    pending cell has been computed by some worker (or exhausted its
-    retry budget). The broker owns no policy of its own - retries,
-    caching, checkpointing, instrumentation and spans all flow through
-    the executor it serves, so a remote sweep is governed by exactly
-    the knobs a local one is.
+    :meth:`~repro.runtime.executor.SweepExecutor.run` builds a private
+    broker on ``127.0.0.1:0`` for a parallel sweep; attach one
+    (``SweepExecutor(broker=SweepBroker(host, port))``) to let remote
+    workers join. The executor's ``run()`` blocks in :meth:`serve` until
+    every pending cell has been computed by some worker (or exhausted
+    its retry budget). The broker owns no policy of its own - retries,
+    timeouts, caching, checkpointing, instrumentation and spans all flow
+    through the executor it serves, so a remote sweep is governed by
+    exactly the knobs a local one is.
     """
 
     def __init__(
@@ -306,7 +340,10 @@ class SweepBroker:
         self._executor: Optional["SweepExecutor"] = None
         self._tasks: Sequence["SweepTask"] = ()
         self._results: Optional[List] = None
-        self._pending: Set[int] = set()       # runnable (not leased, not done)
+        self._pending: Set[int] = set()       # leasable (not leased, not done)
+        self._inline: Set[int] = set()        # next attempt runs in-process
+        self._keys: Dict[int, str] = {}
+        self._wire: Dict[int, Optional[Dict[str, object]]] = {}  # None: in-process
         self._leases: Dict[int, _Lease] = {}
         self._done: Set[int] = set()
         self._attempts: Dict[int, int] = {}
@@ -314,6 +351,13 @@ class SweepBroker:
         self._fatal: Optional[BaseException] = None
         self._finished = False
         self._conns: List[socket.socket] = []
+        self._handler_threads: List[threading.Thread] = []
+        #: Local worker processes by worker name, how many to keep, how
+        #: many were ever started, and which peer addresses they hold.
+        self._local: Dict[str, multiprocessing.process.BaseProcess] = {}
+        self._local_target = 0
+        self._local_starts = 0
+        self._local_peers: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Main entry point (runs on the executor's thread)
@@ -325,7 +369,20 @@ class SweepBroker:
         pending: Sequence[int],
         results: List,
     ) -> None:
-        """Serve ``tasks[pending]`` to workers; fills ``results`` in place."""
+        """Serve ``tasks[pending]`` to workers; fills ``results`` in place.
+
+        With ``executor.max_workers > 1`` the broker keeps that many local
+        worker processes (never more than there are cells); otherwise
+        only remote workers compute. The listener is bound before any
+        broker thread or local worker starts, so local workers fork from
+        one thread and connect at once; the grid is checked for wire
+        fidelity while they start up.
+        """
+        # Loaded before any local worker forks, so none of them pays for
+        # the imports of the wire codecs.
+        from repro.analysis.trace_io import run_result_to_dict  # noqa: F401
+        from repro.service.protocol import sim_config_from_wire  # noqa: F401
+
         with self._lock:
             if self._executor is not None:
                 raise RuntimeError("broker is already serving a sweep")
@@ -333,44 +390,58 @@ class SweepBroker:
             self._executor = executor
             self._tasks = tasks
             self._results = results
-            self._pending = set(pending)
             self._attempts = {i: 0 for i in pending}
             self._earliest = {i: 0.0 for i in pending}
+            if executor.max_workers > 1:
+                self._local_target = min(executor.max_workers, len(pending))
 
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen()
-        listener.settimeout(self.poll_s)
-        self.bound_port = listener.getsockname()[1]
-        executor.progress.note(
-            f"broker listening on {self.host}:{self.bound_port} "
-            f"({len(pending)} cell(s) to distribute)"
-        )
         accept_thread = threading.Thread(
             target=self._accept_loop, args=(listener,),
             name="sweep-broker-accept", daemon=True,
         )
-        handler_threads: List[threading.Thread] = []
-        self._handler_threads = handler_threads
-        accept_thread.start()
         try:
-            with self._cond:
-                while self._fatal is None and len(self._done) < len(
-                    self._attempts
-                ):
-                    self._cond.wait(timeout=self.poll_s)
-                    self._reap_expired_locked()
-                self._finished = True
-                self._cond.notify_all()
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.host, self.port))
+            listener.listen()
+            listener.settimeout(self.poll_s)
+            self.bound_port = listener.getsockname()[1]
+            executor.progress.note(
+                f"broker listening on {self.host}:{self.bound_port} "
+                f"({len(pending)} cell(s), {self._local_target} local worker(s))"
+            )
+            with self._lock:
+                for _ in range(self._local_target):
+                    self._start_worker_locked()
+                self._keys = {i: tasks[i].key() for i in pending}
+                self._wire = {i: _wire_form(tasks[i], self._keys[i]) for i in pending}
+                for i in pending:
+                    self._queue_locked(i)
+            for i in pending:
+                if self._wire[i] is None:
+                    executor.progress.note(
+                        f"{tasks[i].label}: task does not survive the wire "
+                        f"with its cache key intact; running it in-process"
+                    )
+            accept_thread.start()
+            self._run_loop()
         finally:
             with self._lock:
                 self._finished = True
+                self._cond.notify_all()
                 fatal = self._fatal
+                clean = fatal is None and len(self._done) >= len(self._attempts)
                 conns = list(self._conns)
+                procs = list(self._local.values())
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+            except OSError:
+                pass
             listener.close()
-            accept_thread.join(timeout=5.0)
-            for thread in list(handler_threads):
+            self._reap_workers(procs, clean)
+            if accept_thread.is_alive():
+                accept_thread.join(timeout=5.0)
+            for thread in list(self._handler_threads):
                 thread.join(timeout=5.0)
             for conn in conns:
                 try:
@@ -382,6 +453,103 @@ class SweepBroker:
                 self._finished = True
         if fatal is not None:
             raise fatal
+
+    def _run_loop(self) -> None:
+        """Reap expired leases, keep local workers up, and run in-process
+        attempts, until every cell is done or the sweep failed."""
+        ex = self._executor
+        assert ex is not None
+        while True:
+            with self._lock:
+                self._reap_expired_locked()
+                self._replace_workers_locked()
+                if self._fatal is not None or len(self._done) >= len(self._attempts):
+                    return
+                now = time.monotonic()
+                ready = [i for i in self._inline if self._earliest[i] <= now]
+                if not ready:
+                    dues = [ls.due for ls in self._leases.values()]
+                    dues += [self._earliest[i] for i in self._inline]
+                    self._cond.wait(max(0.0, min([self.poll_s] + [d - now for d in dues])))
+                    continue
+                i = min(ready)
+                self._inline.discard(i)
+                self._attempts[i] += 1
+                attempt = self._attempts[i]
+                task = self._tasks[i]
+                if self._wire[i] is not None:
+                    ex.progress.note(
+                        f"final attempt {attempt} for {task.label}: running in-process"
+                    )
+                span, ctx = ex._start_cell(task, attempt)
+            self._run_inline(ex, i, attempt, span, ctx)
+
+    def _run_inline(self, ex: "SweepExecutor", i: int, attempt: int, span, ctx) -> None:
+        """One attempt of cell ``i`` on the executor thread."""
+        from repro.runtime.executor import _run_task_timed
+
+        task = self._tasks[i]
+        try:
+            result, elapsed, spans = _run_task_timed(task, attempt, ctx)
+            if isinstance(result, CorruptResult):
+                raise CorruptResultError(
+                    f"corrupt result for {task.label} (attempt {attempt})"
+                )
+        except Exception as exc:  # noqa: BLE001 - classified by the policy
+            with self._lock:
+                ex._end_cell(span, "retry")
+                self._fail_or_requeue_locked(i, exc)
+            return
+        with self._lock:
+            ex._end_cell(span, "ok", spans)
+            self._complete_locked(i, result, elapsed, SOURCE_SERIAL, attempt)
+
+    # ------------------------------------------------------------------
+    # Local worker processes
+
+    def _start_worker_locked(self) -> None:
+        self._local_starts += 1
+        name = f"local-{self._local_starts}"
+        host = "127.0.0.1" if self.host in ("", "0.0.0.0") else self.host
+        proc = multiprocessing.Process(
+            target=_local_worker, args=(host, self.bound_port, name),
+            name=f"repro-sweep-{name}", daemon=True,
+        )
+        proc.start()
+        self._local[name] = proc
+
+    def _replace_workers_locked(self) -> None:
+        """Reap exited local workers; start replacements while cells wait."""
+        for name, proc in list(self._local.items()):
+            if not proc.is_alive():
+                proc.join()
+                del self._local[name]
+        if not self._pending or len(self._local) >= self._local_target:
+            return
+        # Each failed attempt can take down at most one worker; more
+        # exits than that means workers cannot start at all.
+        assert self._executor is not None
+        budget = self._local_target + len(self._attempts) * self._executor.retry.max_attempts
+        if self._local_starts >= budget:
+            self._fatal = RuntimeError(
+                f"local sweep workers exited {self._local_starts} times; giving up"
+            )
+            return
+        while len(self._local) < self._local_target:
+            self._start_worker_locked()
+
+    @staticmethod
+    def _reap_workers(procs, clean: bool) -> None:
+        """Join local workers (they leave on ``done``); terminate any
+        still running when the sweep failed or a worker lingers."""
+        if not clean:
+            for proc in procs:
+                proc.terminate()
+        for proc in procs:
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
 
     # ------------------------------------------------------------------
     # Accept + per-connection handler threads
@@ -402,13 +570,13 @@ class SweepBroker:
                     conn.close()
                     return
                 self._conns.append(conn)
-            thread = threading.Thread(
-                target=self._handle,
-                args=(conn, f"{addr[0]}:{addr[1]}"),
-                name=f"sweep-broker-{addr[0]}:{addr[1]}",
-                daemon=True,
-            )
-            self._handler_threads.append(thread)
+                thread = threading.Thread(
+                    target=self._handle,
+                    args=(conn, f"{addr[0]}:{addr[1]}"),
+                    name=f"sweep-broker-{addr[0]}:{addr[1]}",
+                    daemon=True,
+                )
+                self._handler_threads.append(thread)
             thread.start()
 
     def _handle(self, conn: socket.socket, peer: str) -> None:
@@ -419,7 +587,7 @@ class SweepBroker:
             while True:
                 with self._lock:
                     finished = self._finished
-                if finished and held is None:
+                if finished:
                     self._send_quiet(conn, {"type": MSG_DONE})
                     return
                 try:
@@ -464,11 +632,15 @@ class SweepBroker:
                     f"{BROKER_PROTOCOL_VERSION}, worker sent "
                     f"{msg.get('protocol')!r}"
                 )
+            name = str(msg.get("worker", "?"))
             with self._lock:
                 registry = self._registry()
                 if registry is not None:
                     registry.inc("sweep_workers_connected")
                 n_tasks = len(self._attempts)
+                local = name in self._local
+                if local:
+                    self._local_peers[worker] = name
             send_frame(conn, {
                 "type": MSG_HELLO_OK,
                 "protocol": BROKER_PROTOCOL_VERSION,
@@ -476,7 +648,8 @@ class SweepBroker:
                 "heartbeat_s": min(self.lease_s / 3.0, 5.0),
                 "n_tasks": n_tasks,
             })
-            self._note(f"worker {worker} connected ({msg.get('worker', '?')})")
+            if not local:
+                self._note(f"worker {worker} connected ({name})")
             return held
         if mtype == MSG_READY:
             grant = self._grant(worker)
@@ -486,9 +659,7 @@ class SweepBroker:
                 if done:
                     send_frame(conn, {"type": MSG_DONE})
                     return _CLOSE
-                send_frame(conn, {
-                    "type": MSG_IDLE, "retry_after_s": self.idle_retry_s,
-                })
+                send_frame(conn, {"type": MSG_IDLE, "retry_after_s": 0.0})
                 return held
             send_frame(conn, grant)
             return int(grant["index"])  # type: ignore[arg-type]
@@ -531,15 +702,25 @@ class SweepBroker:
             pass
 
     def _grant(self, worker: str) -> Optional[Dict[str, object]]:
-        """Lease the lowest runnable cell to ``worker`` (None = nothing)."""
+        """Lease the lowest runnable cell to ``worker``, waiting up to
+        ``idle_retry_s`` for one to become runnable (None = nothing)."""
         with self._lock:
-            ex = self._executor
-            if ex is None or self._finished or self._fatal is not None:
-                return None
-            now = time.monotonic()
-            runnable = [i for i in self._pending if self._earliest[i] <= now]
-            if not runnable:
-                return None
+            give_up = time.monotonic() + self.idle_retry_s
+            while True:
+                ex = self._executor
+                if (
+                    ex is None or self._finished or self._fatal is not None
+                    or len(self._done) >= len(self._attempts)
+                ):
+                    return None
+                now = time.monotonic()
+                runnable = [i for i in self._pending if self._earliest[i] <= now]
+                if runnable:
+                    break
+                if now >= give_up:
+                    return None
+                gates = [self._earliest[i] for i in self._pending]
+                self._cond.wait(min([give_up] + gates) - now)
             i = min(runnable)
             self._pending.discard(i)
             self._attempts[i] += 1
@@ -548,21 +729,23 @@ class SweepBroker:
             span, ctx = ex._start_cell(task, attempt)
             if span is not None:
                 span.attrs["worker"] = worker
-            hard = None
+            timeout_at = None
             if ex.task_timeout_s is not None:
-                hard = now + ex.task_timeout_s + self.lease_s
+                timeout_at = now + ex.task_timeout_s
             lease = _Lease(
                 index=i, worker=worker, attempt=attempt,
-                deadline=0.0, hard_deadline=hard, span=span,
+                deadline=0.0, timeout_at=timeout_at, span=span,
             )
             lease.renew(self.lease_s)
             self._leases[i] = lease
+            if timeout_at is not None:
+                self._cond.notify_all()  # the reaper waits for it
             return {
                 "type": MSG_TASK,
                 "index": i,
                 "attempt": attempt,
-                "key": task.key(),
-                "task": sweep_task_to_wire(task),
+                "key": self._keys[i],
+                "task": self._wire[i],
                 "lease_s": self.lease_s,
                 "span": ctx,
             }
@@ -586,10 +769,12 @@ class SweepBroker:
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed result frame: {exc}") from None
         with self._lock:
+            self._reap_expired_locked()  # a result past its timeout is late
             ex = self._executor
             lease = self._leases.get(i)
             if (
                 ex is None
+                or self._finished
                 or i in self._done
                 or lease is None
                 or lease.worker != worker
@@ -600,33 +785,40 @@ class SweepBroker:
                     registry.inc("sweep_results_duplicate")
                 return False
             task = self._tasks[i]
+            self._leases.pop(i, None)
             try:
                 result = result_from_wire(msg.get("result"))
-                self._verify_result(task, result, msg)
+                self._verify_result(task, self._keys[i], result, msg)
             except CorruptResultError as exc:
-                self._leases.pop(i, None)
                 ex._end_cell(lease.span, "corrupt")
                 self._fail_or_requeue_locked(i, exc)
                 return False
-            self._leases.pop(i, None)
             ex._end_cell(lease.span, "ok", msg.get("spans") or None)
-            assert self._results is not None
-            self._results[i] = result
-            ex._finish_cell(task, result, wall_s, SOURCE_REMOTE, attempts=attempt)
-            self._done.add(i)
-            self._cond.notify_all()
+            source = SOURCE_PARALLEL if worker in self._local_peers else SOURCE_REMOTE
+            self._complete_locked(i, result, wall_s, source, attempt)
             return True
 
+    def _complete_locked(
+        self, i: int, result: Any, wall_s: float, source: str, attempt: int
+    ) -> None:
+        assert self._executor is not None and self._results is not None
+        self._results[i] = result
+        self._executor._finish_cell(
+            self._tasks[i], result, wall_s, source, attempts=attempt
+        )
+        self._done.add(i)
+        self._cond.notify_all()
+
     def _verify_result(
-        self, task: "SweepTask", result: Any, msg: Dict[str, object]
+        self, task: "SweepTask", key: str, result: Any, msg: Dict[str, object]
     ) -> None:
         """Integrity checks on a shipped result (raises CorruptResultError)."""
         from repro.analysis.trace_io import run_result_to_dict
 
-        if msg.get("key") != task.key():
+        if msg.get("key") != key:
             raise CorruptResultError(
                 f"result for {task.label} carries key {msg.get('key')!r}, "
-                f"expected {task.key()!r}"
+                f"expected {key!r}"
             )
         shipped = msg.get("dict")
         if shipped is not None and run_result_to_dict(result) != shipped:
@@ -648,7 +840,8 @@ class SweepBroker:
         with self._lock:
             lease = self._leases.get(i)
             if (
-                i in self._done
+                self._finished
+                or i in self._done
                 or lease is None
                 or lease.worker != worker
                 or lease.attempt != attempt
@@ -659,9 +852,21 @@ class SweepBroker:
                 self._executor._end_cell(lease.span, "retry")
             self._fail_or_requeue_locked(i, exc)
 
+    def _queue_locked(self, i: int) -> None:
+        """Queue cell ``i``'s next attempt: for a worker, or in-process
+        when the task cannot ship or this is a final attempt that
+        ``serial_final_attempt`` keeps on this host."""
+        assert self._executor is not None
+        policy = self._executor.retry
+        nxt = self._attempts[i] + 1
+        final = 1 < nxt >= policy.max_attempts and policy.serial_final_attempt
+        if self._wire[i] is None or (final and self._local_target > 0):
+            self._inline.add(i)
+        else:
+            self._pending.add(i)
+
     def _fail_or_requeue_locked(self, i: int, exc: BaseException) -> None:
-        """Retry accounting for a failed attempt (mirrors the pool's
-        ``_fail_or_queue``); caller holds the lock."""
+        """Retry accounting for a failed attempt; caller holds the lock."""
         ex = self._executor
         assert ex is not None
         task = self._tasks[i]
@@ -671,7 +876,8 @@ class SweepBroker:
             delay = ex.retry.delay_for(attempts + 1)
             ex.progress.record_retry(task.label, attempts, exc, delay)
             self._earliest[i] = time.monotonic() + delay
-            self._pending.add(i)
+            self._queue_locked(i)
+            self._cond.notify_all()
             return
         try:
             assert self._results is not None
@@ -682,30 +888,52 @@ class SweepBroker:
         self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Lease reclamation (dead and hung workers)
+    # Lease reclamation (dead, silent and timed-out workers)
 
     def _reap_expired_locked(self) -> None:
-        """Reclaim every lease past its deadline; caller holds the lock."""
-        for i in [i for i, ls in self._leases.items() if ls.expired]:
-            self._reclaim_locked(i, self._leases[i].worker, "lease expired")
+        """Reclaim every lease past a deadline; caller holds the lock."""
+        from repro.runtime.executor import SweepTimeoutError
+
+        if self._finished or self._executor is None:
+            return
+        now = time.monotonic()
+        for i, lease in list(self._leases.items()):
+            if lease.timeout_at is not None and now > lease.timeout_at:
+                timeout = self._executor.task_timeout_s
+                cause = f"exceeded task_timeout_s={timeout:g}"
+                error: RuntimeError = SweepTimeoutError(
+                    f"sweep cell {self._tasks[i].label} {cause} "
+                    f"(attempt {lease.attempt})"
+                )
+                self._reclaim_locked(i, lease.worker, cause, error)
+            elif now > lease.deadline:
+                self._reclaim_locked(i, lease.worker, "lease expired")
 
     def _reclaim(self, i: int, worker: str, cause: str) -> None:
         with self._lock:
             lease = self._leases.get(i)
-            if lease is None or lease.worker != worker:
+            if self._finished or lease is None or lease.worker != worker:
                 return  # already reclaimed (or completed)
             self._reclaim_locked(i, worker, cause)
 
-    def _reclaim_locked(self, i: int, worker: str, cause: str) -> None:
+    def _reclaim_locked(
+        self, i: int, worker: str, cause: str,
+        error: Optional[RuntimeError] = None,
+    ) -> None:
         lease = self._leases.pop(i)
         ex = self._executor
         assert ex is not None
         task = self._tasks[i]
         ex.progress.record_reclaim(task.label, worker, lease.attempt, cause)
         ex._end_cell(lease.span, "reclaimed")
+        # A local worker that lost its lease is dead or wedged: stop it
+        # (the main loop starts a replacement).
+        proc = self._local.get(self._local_peers.get(worker, ""))
+        if proc is not None:
+            proc.terminate()
         self._fail_or_requeue_locked(
             i,
-            LeaseExpired(
+            error or LeaseExpired(
                 f"cell {task.label} attempt {lease.attempt} on {worker}: {cause}"
             ),
         )
@@ -760,6 +988,7 @@ class SweepWorker:
         self._sock: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
         self._heartbeat_s = 5.0
+        self._held: Optional[int] = None  # index of the cell being computed
         self.summary = WorkerSummary()
 
     # -- plumbing -------------------------------------------------------
@@ -813,6 +1042,11 @@ class SweepWorker:
         """Work the sweep to completion; returns the session summary."""
         self._connect()
         log = get_logger("worker")
+        stop = threading.Event()
+        beat = threading.Thread(
+            target=self._heartbeat_loop, args=(stop,),
+            name="sweep-worker-heartbeat", daemon=True,
+        )
         try:
             self._send({
                 "type": MSG_HELLO,
@@ -827,6 +1061,7 @@ class SweepWorker:
                 f"connected to broker {self.host}:{self.port} "
                 f"({hello.get('n_tasks')} task(s) in the sweep)"
             )
+            beat.start()
             while True:
                 self._send({"type": MSG_READY})
                 msg = self._recv()
@@ -850,6 +1085,9 @@ class SweepWorker:
                     )
                     return self.summary
         finally:
+            stop.set()
+            if beat.is_alive():
+                beat.join()
             if self._sock is not None:
                 try:
                     self._sock.close()
@@ -883,20 +1121,14 @@ class SweepWorker:
             self.summary.failed += 1
             return
         span_ctx = msg.get("span")
-        stop = threading.Event()
-        beat = threading.Thread(
-            target=self._heartbeat_loop, args=(index, stop),
-            name="sweep-worker-heartbeat", daemon=True,
-        )
-        beat.start()
         log.info(f"leased {task.label} (attempt {attempt})")
+        self._held = index
         try:
             payload, elapsed, spans = _run_task_timed(
                 task, attempt, span_ctx,  # type: ignore[arg-type]
             )
         except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
-            stop.set()
-            beat.join()
+            self._held = None
             self._send({
                 "type": MSG_FAIL, "index": index, "attempt": attempt,
                 "error_type": type(exc).__name__, "error": str(exc),
@@ -905,8 +1137,7 @@ class SweepWorker:
             self.summary.failed += 1
             log.warning(f"{task.label} failed: {type(exc).__name__}: {exc}")
             return
-        stop.set()
-        beat.join()
+        self._held = None
         if isinstance(payload, CorruptResult):
             self._send({
                 "type": MSG_FAIL, "index": index, "attempt": attempt,
@@ -941,8 +1172,12 @@ class SweepWorker:
             raise WorkerError(f"expected ack, got {msg!r}")
         return bool(msg.get("accepted"))
 
-    def _heartbeat_loop(self, index: int, stop: threading.Event) -> None:
+    def _heartbeat_loop(self, stop: threading.Event) -> None:
+        """Renew the held lease every ``heartbeat_s`` while a cell runs."""
         while not stop.wait(self._heartbeat_s):
+            index = self._held
+            if index is None:
+                continue
             try:
                 self._send({"type": MSG_HEARTBEAT, "index": index})
             except OSError:

@@ -1,35 +1,46 @@
-"""Process-pool sweep executor for (workload x design x config) grids.
+"""Sweep executor for (workload x design x config) grids.
 
 The paper parallelised its fork-and-pre-execute methodology across "10
 processes" (Section 5.1); the same observation applies one level up:
 every cell of an evaluation grid is an independent deterministic
 simulation, so a figure's (workload x design) matrix fans out across
-cores. :class:`SweepExecutor` does that with
-:class:`concurrent.futures.ProcessPoolExecutor` while guaranteeing:
+cores and hosts. :class:`SweepExecutor` runs a grid one of two ways:
+
+* **In-process** - with ``max_workers=1`` and no broker (or a single
+  pending cell), cells run one after another on the calling thread.
+  Every differential uses this path as its reference.
+* **Through the broker** - with ``max_workers=N>1`` or an attached
+  :class:`~repro.runtime.distributed.SweepBroker`, cells are leased to
+  worker processes over loopback or the network. The broker starts
+  ``N`` local workers itself (a private broker on ``127.0.0.1:0`` when
+  none is attached); an attached broker also serves remote
+  ``repro worker`` hosts, and with ``max_workers=1`` only those. Local
+  and remote sweeps share one lease, retry, timeout and reclaim
+  implementation (see :mod:`repro.runtime.distributed`).
+
+Either way the executor guarantees:
 
 * **Deterministic ordering** - ``run(tasks)[i]`` is always the result of
-  ``tasks[i]``, however the pool interleaved them.
+  ``tasks[i]``, whatever order the workers finished in.
 * **Bit-identical results** - workers execute exactly the same
   :func:`run_task` code path as a serial run, so parallelism never
   changes a number. Retries re-run the same deterministic cell, so they
   never change a number either.
 * **Fault tolerance** - a :class:`RetryPolicy` re-runs cells that
-  crashed (:class:`~repro.runtime.faults.InjectedFaultError`, a broken
-  pool), hung (:class:`SweepTimeoutError`) or returned corrupt payloads,
-  with jitterless exponential backoff and an automatic in-process serial
-  fallback on the final attempt. Exhausted cells either fail the sweep
-  (``on_exhausted="raise"``) or land as :class:`FailedCell` markers
-  (``on_exhausted="record"``) so one poisoned cell cannot lose a figure.
+  crashed (:class:`~repro.runtime.faults.InjectedFaultError`, a worker
+  that died holding the cell), hung (:class:`SweepTimeoutError`) or
+  returned corrupt payloads, with jitterless exponential backoff; with
+  local workers the final attempt runs in-process. Exhausted cells
+  either fail the sweep (``on_exhausted="raise"``) or land as
+  :class:`FailedCell` markers (``on_exhausted="record"``) so one
+  poisoned cell cannot lose a figure.
 * **Checkpoint/resume** - with a
   :class:`~repro.runtime.checkpoint.SweepCheckpoint` attached, every
   completed cell is durably recorded; a resumed sweep skips completed
   cells by fetching them from the result cache.
-* **Graceful degradation** - ``max_workers=1``, a single pending cell,
-  or any pickling/pool failure falls back to in-process execution (the
-  failure is recorded in the instrumentation, not raised).
-* **No leaked workers** - when a cell times out or the sweep aborts,
-  outstanding futures are cancelled and the pool is shut down with
-  ``cancel_futures=True`` instead of being left to run to completion.
+* **No leaked workers** - a local worker holding a cell past
+  ``task_timeout_s`` is terminated and replaced, and every local worker
+  is reaped before :meth:`SweepExecutor.run` returns or raises.
 
 Cells are transparently memoised through
 :class:`~repro.runtime.cache.ResultCache` when one is supplied.
@@ -37,21 +48,18 @@ Cells are transparently memoised through
 
 from __future__ import annotations
 
-import concurrent.futures
-import pickle
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.config import SimConfig
 
 if TYPE_CHECKING:  # spans are optional; the import stays off the hot path
     from repro.obs.trace import Span, Tracer
-    from repro.runtime.distributed import SweepBroker
 from repro.core.objectives import Objective
 from repro.runtime.cache import ResultCache, describe_objective, task_key
 from repro.runtime.checkpoint import SweepCheckpoint
+from repro.runtime.distributed import SweepBroker
 from repro.runtime.faults import (
     CorruptResult,
     CorruptResultError,
@@ -60,7 +68,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.progress import (
     SOURCE_CACHE,
-    SOURCE_PARALLEL,
     SOURCE_RESUMED,
     SOURCE_SERIAL,
     CellRecord,
@@ -189,24 +196,9 @@ def _run_task_timed(
     )
 
 
-#: Exceptions that mean "this grid cannot cross the process boundary";
-#: they demote the sweep to serial execution rather than failing it.
-#: (A broken pool is handled by the retry machinery instead.)
-_FALLBACK_ERRORS = (
-    pickle.PicklingError,
-    TypeError,
-    AttributeError,
-    ImportError,
-    OSError,
-)
-
 #: ``RetryPolicy.on_exhausted`` values.
 ON_EXHAUSTED_RAISE = "raise"
 ON_EXHAUSTED_RECORD = "record"
-
-#: ``SweepExecutor.backend`` values.
-BACKEND_LOCAL = "local"
-BACKEND_REMOTE = "remote"
 
 
 @dataclass(frozen=True)
@@ -225,16 +217,18 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     backoff_max_s: float = 2.0
     #: Exception types worth re-running the cell for. Everything else
-    #: propagates (or demotes the sweep to serial, for pickling errors).
+    #: is final. (A cell reclaimed from a dead worker, ``LeaseExpired``,
+    #: is always retried.)
     retryable: Tuple[Type[BaseException], ...] = (
         InjectedFaultError,
         CorruptResultError,
-        BrokenProcessPool,
         SweepTimeoutError,
     )
-    #: Run the last attempt in-process instead of in the pool: immune to
-    #: broken pools and queueing timeouts, the strongest guarantee the
-    #: runtime can offer a repeatedly unlucky cell.
+    #: Run the last attempt in-process instead of on a local worker:
+    #: immune to dying workers and timeouts, the strongest guarantee the
+    #: runtime can offer a repeatedly unlucky cell. A remote-only sweep
+    #: (a broker with ``max_workers=1``) never computes on its own host,
+    #: so there the final attempt goes to a worker like any other.
     serial_final_attempt: bool = True
     #: ``"raise"``: an exhausted cell fails the sweep (callers see the
     #: original error). ``"record"``: it becomes a :class:`FailedCell`
@@ -279,13 +273,16 @@ class FailedCell:
 
 @dataclass
 class SweepExecutor:
-    """Runs sweep cells across a process pool with caching and retries."""
+    """Runs sweep cells in-process or through a broker, with caching and
+    retries."""
 
+    #: Local worker processes; 1 runs cells in-process (or, with a
+    #: broker attached, on remote workers only).
     max_workers: int = 1
     cache: Optional[ResultCache] = None
     progress: SweepInstrumentation = field(default_factory=SweepInstrumentation)
-    #: Per-cell timeout in seconds, measured from collection start
-    #: (includes queueing); None disables the guard. Serial execution
+    #: Per-attempt timeout in seconds, measured from the moment a worker
+    #: leases the cell; None disables the guard. In-process attempts
     #: cannot be timed out (there is no process to abandon).
     task_timeout_s: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -297,21 +294,14 @@ class SweepExecutor:
     #: each run/epoch/oracle_sample become spans. None (the default)
     #: costs one ``is None`` branch per site and changes nothing.
     tracer: Optional["Tracer"] = None
-    #: ``"local"`` (process pool / serial on this host) or ``"remote"``
-    #: (cells served to worker hosts by the attached ``broker``). Cache
-    #: hits and checkpoint resume are handled identically either way.
-    backend: str = BACKEND_LOCAL
-    #: The :class:`~repro.runtime.distributed.SweepBroker` serving the
-    #: grid when ``backend="remote"``.
-    broker: Optional["SweepBroker"] = None
+    #: A :class:`~repro.runtime.distributed.SweepBroker` that also
+    #: serves the grid to remote workers. Cache hits and checkpoint
+    #: resume are handled identically with or without one.
+    broker: Optional[SweepBroker] = None
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.backend not in (BACKEND_LOCAL, BACKEND_REMOTE):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == BACKEND_REMOTE and self.broker is None:
-            raise ValueError('backend="remote" requires a broker')
         self.progress.max_workers = max(self.progress.max_workers, self.max_workers)
         self._sweep_span: Optional["Span"] = None
 
@@ -338,14 +328,11 @@ class SweepExecutor:
                     continue
                 pending.append(i)
 
-            if self.backend == BACKEND_REMOTE:
-                if pending:
-                    assert self.broker is not None
-                    self.broker.serve(self, tasks, pending, results)
-            elif self.max_workers <= 1 or len(pending) <= 1:
+            if self.broker is None and (self.max_workers <= 1 or len(pending) <= 1):
                 self._run_serial(tasks, pending, results)
-            else:
-                self._run_parallel(tasks, pending, results)
+            elif pending:
+                broker = self.broker or SweepBroker(port=0)
+                broker.serve(self, tasks, pending, results)
             return results  # type: ignore[return-value]
         finally:
             if tr is not None:
@@ -424,11 +411,12 @@ class SweepExecutor:
         source: str,
         attempts: int = 1,
     ) -> None:
-        key = task.key()
-        if self.cache is not None:
-            self.cache.put(key, result)
-        if self.checkpoint is not None:
-            self.checkpoint.record(key, task.label, source, elapsed)
+        if self.cache is not None or self.checkpoint is not None:
+            key = task.key()
+            if self.cache is not None:
+                self.cache.put(key, result)
+            if self.checkpoint is not None:
+                self.checkpoint.record(key, task.label, source, elapsed)
         self.progress.record_cell(
             CellRecord(
                 task.label, task.workload, task.design, elapsed, source,
@@ -485,276 +473,8 @@ class SweepExecutor:
             self._finish_cell(task, result, elapsed, SOURCE_SERIAL, attempts=attempt)
             return result
 
-    def _final_serial_attempt(self, task: SweepTask, attempt: int):
-        """Last attempt of a pool-scheduled cell, run in-process."""
-        self.progress.note(
-            f"final attempt {attempt} for {task.label}: running in-process"
-        )
-        span, ctx = self._start_cell(task, attempt)
-        try:
-            result, elapsed, spans = _run_task_timed(task, attempt, ctx)
-            if isinstance(result, CorruptResult):
-                raise CorruptResultError(
-                    f"corrupt result for {task.label} (attempt {attempt})"
-                )
-        except self.retry.retryable as exc:
-            self._end_cell(span, "exhausted")
-            return self._exhausted(task, attempt, exc)
-        self._end_cell(span, "ok", spans)
-        self._finish_cell(task, result, elapsed, SOURCE_SERIAL, attempts=attempt)
-        return result
-
-    # -- parallel execution --------------------------------------------
-
-    def _run_parallel(
-        self, tasks: Sequence[SweepTask], pending: Sequence[int], results: List
-    ) -> None:
-        """Round-based pool execution with deterministic retry order.
-
-        Each round submits every runnable cell (in task order) to a
-        fresh-or-healthy pool, collects in task order, and queues
-        retryable failures for the next round. Cells on their final
-        attempt run in-process when the policy allows, after every pool
-        round of the current generation. One backoff sleep per round
-        (the round's maximum pending delay) keeps the schedule
-        jitterless without serialising the collection.
-        """
-        attempts: Dict[int, int] = {i: 0 for i in pending}
-        queue: List[int] = list(pending)
-        while queue:
-            round_cells = sorted(queue)
-            queue.clear()
-            pool_round: List[int] = []
-            serial_round: List[int] = []
-            for i in round_cells:
-                next_attempt = attempts[i] + 1
-                final = next_attempt >= self.retry.max_attempts
-                if next_attempt > 1 and final and self.retry.serial_final_attempt:
-                    serial_round.append(i)
-                else:
-                    pool_round.append(i)
-            if pool_round:
-                self._pool_round(tasks, pool_round, results, attempts, queue)
-            for i in serial_round:
-                attempts[i] += 1
-                results[i] = self._final_serial_attempt(tasks[i], attempts[i])
-            if queue:
-                self._backoff(max(attempts[i] + 1 for i in queue))
-
-    def _pool_round(
-        self,
-        tasks: Sequence[SweepTask],
-        indices: List[int],
-        results: List,
-        attempts: Dict[int, int],
-        queue: List[int],
-    ) -> None:
-        try:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.max_workers)
-        except (OSError, ValueError) as exc:  # e.g. no /dev/shm, fork limits
-            self.progress.note(f"process pool unavailable ({exc!r}); running serially")
-            self._run_serial(tasks, indices, results)
-            return
-
-        futures: Dict[int, concurrent.futures.Future] = {}
-        cell_spans: Dict[int, Optional["Span"]] = {}
-        try:
-            for i in indices:
-                attempts[i] += 1
-                span, ctx = self._start_cell(tasks[i], attempts[i])
-                cell_spans[i] = span
-                futures[i] = pool.submit(
-                    _run_task_timed, tasks[i], attempts[i], ctx
-                )
-        except _FALLBACK_ERRORS as exc:
-            self.progress.note(f"submit failed ({exc!r}); running serially")
-            for fut in futures.values():
-                fut.cancel()
-            for span in cell_spans.values():
-                self._end_cell(span, "requeued")
-            pool.shutdown(wait=False, cancel_futures=True)
-            self._run_serial(tasks, indices, results)
-            return
-
-        collected: Set[int] = set()
-        pool_tainted = False  # a timeout or broken pool poisoned this round
-        try:
-            for i in indices:
-                fut = futures[i]
-                if pool_tainted:
-                    self._salvage(tasks, i, fut, results, attempts, queue)
-                    self._end_cell(cell_spans.get(i), "salvaged")
-                    collected.add(i)
-                    continue
-                try:
-                    result, elapsed, spans = fut.result(
-                        timeout=self.task_timeout_s
-                    )
-                except concurrent.futures.TimeoutError:
-                    # Reap the pool *before* deciding the cell's fate, so
-                    # a timed-out sweep never leaks busy workers.
-                    pool_tainted = True
-                    self._reap(pool, futures, skip=collected | {i})
-                    collected.add(i)
-                    self._end_cell(cell_spans.get(i), "timeout")
-                    self._fail_or_queue(
-                        tasks[i], i,
-                        SweepTimeoutError(
-                            f"sweep cell {tasks[i].label} exceeded "
-                            f"{self.task_timeout_s:.1f}s"
-                            f" (attempt {attempts[i]})"
-                        ),
-                        results, attempts, queue,
-                    )
-                    continue
-                except BrokenProcessPool as exc:
-                    pool_tainted = True
-                    self._reap(pool, futures, skip=collected | {i})
-                    collected.add(i)
-                    self._end_cell(cell_spans.get(i), "broken_pool")
-                    self._fail_or_queue(tasks[i], i, exc, results, attempts, queue)
-                    continue
-                except self.retry.retryable as exc:
-                    collected.add(i)
-                    self._end_cell(cell_spans.get(i), "retry")
-                    self._fail_or_queue(tasks[i], i, exc, results, attempts, queue)
-                    continue
-                except _FALLBACK_ERRORS as exc:
-                    # Un-picklable grid: finish what the pool could not,
-                    # in-process, without losing completed work.
-                    remaining = [j for j in indices if j not in collected]
-                    self.progress.note(
-                        f"parallel execution failed ({exc!r}); "
-                        f"finishing {len(remaining)} cell(s) serially"
-                    )
-                    self._reap(pool, futures, skip=collected)
-                    self._end_cell(cell_spans.get(i), "error")
-                    for j in remaining:
-                        if j != i:
-                            self._end_cell(cell_spans.get(j), "requeued")
-                    self._run_serial(tasks, remaining, results)
-                    return
-                collected.add(i)
-                if isinstance(result, CorruptResult):
-                    self._end_cell(cell_spans.get(i), "corrupt", spans)
-                    self._fail_or_queue(
-                        tasks[i], i,
-                        CorruptResultError(
-                            f"corrupt result for {tasks[i].label} "
-                            f"(attempt {attempts[i]})"
-                        ),
-                        results, attempts, queue,
-                    )
-                    continue
-                self._end_cell(cell_spans.get(i), "ok", spans)
-                results[i] = result
-                self._finish_cell(
-                    tasks[i], result, elapsed, SOURCE_PARALLEL,
-                    attempts=attempts[i],
-                )
-        except BaseException:
-            # An exhausted cell raising (or Ctrl-C) must not strand the
-            # pool: cancel outstanding work and reap it on the way out.
-            self._reap(pool, futures, skip=collected)
-            raise
-        if not pool_tainted:
-            pool.shutdown()
-
-    @staticmethod
-    def _reap(
-        pool: concurrent.futures.ProcessPoolExecutor,
-        futures: Dict[int, concurrent.futures.Future],
-        skip: Set[int],
-    ) -> None:
-        """Cancel outstanding futures and shut the pool down hard."""
-        for j, fut in futures.items():
-            if j not in skip:
-                fut.cancel()
-        # A non-blocking shutdown is not enough: workers mid-task keep
-        # running, and on 3.11 the pool's manager thread can then wait
-        # forever for results nobody will collect, hanging interpreter
-        # exit. The round is already condemned (its survivors were
-        # salvaged or requeued), so kill the workers outright; crash-safe
-        # cache writes mean a worker killed mid-put cannot tear an entry.
-        # (Snapshot the process table first: shutdown() clears it.)
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-
-    def _salvage(
-        self,
-        tasks: Sequence[SweepTask],
-        i: int,
-        fut: concurrent.futures.Future,
-        results: List,
-        attempts: Dict[int, int],
-        queue: List[int],
-    ) -> None:
-        """Collect what a tainted round still produced.
-
-        Completed futures keep their results (or their real failures);
-        cancelled and never-finished cells requeue *uncharged* - their
-        attempt never ran, so it should not count against the budget.
-        """
-        if fut.done() and not fut.cancelled():
-            exc = fut.exception()
-            if exc is None:
-                result, elapsed, spans = fut.result()
-                if self.tracer is not None and spans:
-                    self.tracer.adopt(spans)
-                if isinstance(result, CorruptResult):
-                    self._fail_or_queue(
-                        tasks[i], i,
-                        CorruptResultError(
-                            f"corrupt result for {tasks[i].label} "
-                            f"(attempt {attempts[i]})"
-                        ),
-                        results, attempts, queue,
-                    )
-                    return
-                results[i] = result
-                self._finish_cell(
-                    tasks[i], result, elapsed, SOURCE_PARALLEL,
-                    attempts=attempts[i],
-                )
-                return
-            if isinstance(exc, BrokenProcessPool):
-                # Collateral damage from another cell's crash.
-                attempts[i] -= 1
-                queue.append(i)
-                return
-            self._fail_or_queue(tasks[i], i, exc, results, attempts, queue)
-            return
-        fut.cancel()
-        attempts[i] -= 1
-        queue.append(i)
-
-    def _fail_or_queue(
-        self,
-        task: SweepTask,
-        i: int,
-        exc: BaseException,
-        results: List,
-        attempts: Dict[int, int],
-        queue: List[int],
-    ) -> None:
-        """Queue a retryable failure for the next round, or exhaust it."""
-        if self.retry.is_retryable(exc) and attempts[i] < self.retry.max_attempts:
-            self.progress.record_retry(
-                task.label, attempts[i], exc, self.retry.delay_for(attempts[i] + 1)
-            )
-            queue.append(i)
-        else:
-            results[i] = self._exhausted(task, attempts[i], exc)
-
 
 __all__ = [
-    "BACKEND_LOCAL",
-    "BACKEND_REMOTE",
     "NO_RETRY",
     "ON_EXHAUSTED_RAISE",
     "ON_EXHAUSTED_RECORD",

@@ -19,7 +19,7 @@ machinery end to end:
   ``fraction_mode`` to them on their first ``fraction_attempts`` tries.
 * Plans cross the process boundary through the ``REPRO_FAULT_PLAN``
   environment variable as JSON (:meth:`FaultPlan.install` /
-  :func:`active_fault_plan`), so pool workers — which inherit the
+  :func:`active_fault_plan`), so local workers — which inherit the
   parent's environment — observe the same plan without any plumbing
   through task objects or cache keys.
 
@@ -191,7 +191,7 @@ class FaultPlan:
     # -- environment plumbing -------------------------------------------
 
     def install(self) -> None:
-        """Publish the plan to this process and future pool workers."""
+        """Publish the plan to this process and future local workers."""
         os.environ[FAULT_PLAN_ENV] = self.to_json()
 
     @staticmethod

@@ -4,7 +4,7 @@ The executor feeds one :class:`CellRecord` per (workload x design) cell
 into a :class:`SweepInstrumentation`; :meth:`SweepInstrumentation.summary`
 renders the aggregate through :mod:`repro.analysis.report` so figure
 drivers and the CLI can show where a sweep spent its time and how well
-the worker pool was used.
+the workers were used.
 """
 
 from __future__ import annotations
@@ -147,11 +147,11 @@ class SweepInstrumentation:
     def record_reclaim(
         self, label: str, worker: str, attempt: int, cause: str
     ) -> None:
-        """A leased cell was reclaimed from a dead or hung remote worker.
+        """A leased cell was reclaimed from a dead, hung or timed-out worker.
 
         Counted separately from retries (``sweep_cells_reclaimed`` vs
         ``sweep_retries_total``): a reclaim says a *worker* was lost, a
-        retry says an *attempt* failed. The distributed backend records
+        retry says an *attempt* failed. The broker records
         both for each reclaimed cell - the reclaim here, then the
         ordinary retry/exhaustion accounting for the charged attempt.
         """
@@ -221,7 +221,7 @@ class SweepInstrumentation:
 
     @property
     def utilisation(self) -> float:
-        """Fraction of the pool's capacity that did cell work, in [0, 1]."""
+        """Fraction of the workers' capacity that did cell work, in [0, 1]."""
         capacity = self.wall_s * max(1, self.max_workers)
         if capacity <= 0:
             return 0.0

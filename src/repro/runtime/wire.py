@@ -16,7 +16,7 @@ Python's ``json`` serialises floats with ``repr``, which round-trips
 IEEE-754 binary64 exactly. Every quantity that crosses the wire
 (frequencies, stall nanoseconds, commit counts, work scales) therefore
 survives bit-for-bit - the foundation of both ``repro replay``'s
-online-equals-offline check and the remote sweep backend's
+online-equals-offline check and the sweep broker's
 results-bit-identical-to-serial guarantee.
 
 Strict framing

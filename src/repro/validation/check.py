@@ -55,7 +55,7 @@ class CheckConfig:
     scale: float = 0.15
     max_epochs: int = 60
     oracle_sample_freqs: Optional[int] = 4
-    #: Pool width for the serial-vs-parallel sweep differential.
+    #: Local workers for the serial-vs-parallel sweep differential.
     sweep_workers: int = 2
 
     def sim_config(self) -> SimConfig:

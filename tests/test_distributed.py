@@ -84,9 +84,7 @@ class BrokerHarness:
     def __init__(self, tasks, executor_kw=None, broker_kw=None):
         self.tasks = tasks
         self.broker = SweepBroker(port=0, lease_s=0.6, **(broker_kw or {}))
-        self.ex = SweepExecutor(
-            backend="remote", broker=self.broker, **(executor_kw or {})
-        )
+        self.ex = SweepExecutor(broker=self.broker, **(executor_kw or {}))
         self.results = None
         self.error = None
         self._thread = threading.Thread(target=self._run, name="harness-sweep")
@@ -226,14 +224,6 @@ class TestResultCodec:
 
 
 class TestExecutorSurface:
-    def test_remote_backend_requires_broker(self):
-        with pytest.raises(ValueError, match="requires a broker"):
-            SweepExecutor(backend="remote")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            SweepExecutor(backend="cloud")
-
     def test_local_backend_unchanged(self):
         r = SweepExecutor().run_one(task())
         assert run_result_to_dict(r) == run_result_to_dict(
@@ -297,9 +287,7 @@ class TestEndToEnd:
             first = h.join()
             t.join(timeout=30)
         # Second remote run: everything cached, no broker/worker needed.
-        ex2 = SweepExecutor(
-            backend="remote", broker=SweepBroker(port=0), cache=cache
-        )
+        ex2 = SweepExecutor(broker=SweepBroker(port=0), cache=cache)
         second = ex2.run(tasks)
         assert [run_result_to_dict(r) for r in second] == [
             run_result_to_dict(r) for r in first

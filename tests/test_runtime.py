@@ -292,92 +292,40 @@ class TestRetryPolicy:
         assert NO_RETRY.max_attempts == 1
 
     def test_retryable_classification(self):
-        from concurrent.futures.process import BrokenProcessPool
+        from repro.runtime.distributed import LeaseExpired
         from repro.runtime.faults import CorruptResultError, InjectedFaultError
 
         p = RetryPolicy()
         for exc in (InjectedFaultError("x"), CorruptResultError("x"),
-                    BrokenProcessPool("x"), SweepTimeoutError("x")):
+                    SweepTimeoutError("x")):
             assert p.is_retryable(exc)
         assert not p.is_retryable(ValueError("x"))
-
-
-class _FakeFuture:
-    def __init__(self):
-        self._cancelled = False
-
-    def result(self, timeout=None):
-        import concurrent.futures
-
-        raise concurrent.futures.TimeoutError()
-
-    def cancel(self):
-        self._cancelled = True
-        return True
-
-    def done(self):
-        return False
-
-    def cancelled(self):
-        return self._cancelled
-
-    def exception(self):
-        return None
-
-
-class _FakePool:
-    """Records shutdown arguments; every submitted future times out."""
-
-    instances = []
-
-    def __init__(self, max_workers=None):
-        self.futures = []
-        self.shutdown_calls = []
-        _FakePool.instances.append(self)
-
-    def submit(self, fn, *args, **kwargs):
-        fut = _FakeFuture()
-        self.futures.append(fut)
-        return fut
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shutdown_calls.append({"wait": wait, "cancel_futures": cancel_futures})
+        # A worker that dies holding a cell is reclaimed as LeaseExpired,
+        # which the broker retries whatever the policy lists.
+        assert not p.is_retryable(LeaseExpired("x"))
 
 
 class TestTimeoutReapsPool:
-    """Bugfix: a timed-out sweep must cancel outstanding futures and shut
-    the pool down with ``cancel_futures=True`` instead of leaking busy
-    workers behind the raised SweepTimeoutError."""
+    """A timed-out sweep must terminate and reap its local worker
+    processes instead of leaking busy workers behind the raised
+    SweepTimeoutError."""
 
-    def test_timeout_cancels_and_shuts_down(self, monkeypatch):
-        import concurrent.futures
+    def test_timeout_cancels_and_shuts_down(self):
+        import multiprocessing
 
-        _FakePool.instances.clear()
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _FakePool
-        )
         ex = SweepExecutor(max_workers=2, task_timeout_s=0.01, retry=NO_RETRY)
         with pytest.raises(SweepTimeoutError):
             ex.run(GRID)
-        (pool,) = _FakePool.instances
-        assert any(
-            c == {"wait": False, "cancel_futures": True} for c in pool.shutdown_calls
-        ), pool.shutdown_calls
-        # Every future except the one being collected was cancelled.
-        assert sum(1 for f in pool.futures if f.cancelled()) == len(GRID) - 1
+        assert multiprocessing.active_children() == []
 
-    def test_timeout_with_retries_exhausts_and_records(self, monkeypatch):
+    def test_timeout_with_retries_exhausts_and_records(self):
         """All-timeout grid + on_exhausted='record': the sweep completes
-        with FailedCell markers instead of dying, and every pool was
-        reaped with cancel_futures=True."""
-        import concurrent.futures
+        with FailedCell markers instead of dying, and every worker was
+        reaped."""
+        import multiprocessing
 
         from repro.runtime.executor import FailedCell
 
-        _FakePool.instances.clear()
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _FakePool
-        )
         policy = RetryPolicy(
             max_attempts=2, backoff_base_s=0.0, serial_final_attempt=False,
             on_exhausted="record",
@@ -388,5 +336,4 @@ class TestTimeoutReapsPool:
         assert not any(results)  # FailedCell is falsy
         assert ex.progress.failures == len(GRID)
         assert ex.progress.retries >= 1
-        for pool in _FakePool.instances:
-            assert any(c["cancel_futures"] for c in pool.shutdown_calls)
+        assert multiprocessing.active_children() == []
