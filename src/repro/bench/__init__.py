@@ -10,6 +10,7 @@ from repro.bench.baseline import (
     BENCH_SCHEMA_VERSION,
     GATED_METRICS,
     BenchComparison,
+    CounterMismatch,
     MetricDelta,
     compare_reports,
     load_bench_json,
@@ -32,6 +33,7 @@ __all__ = [
     "BenchComparison",
     "BenchResult",
     "BenchSettings",
+    "CounterMismatch",
     "GATED_METRICS",
     "MetricDelta",
     "compare_reports",

@@ -26,11 +26,19 @@ Report layout (one JSON object)::
       }
     }
 
-:func:`compare_reports` implements the CI gate: relative to a committed
-baseline report, ``instr_per_sec`` and ``batched_issue_ratio`` may not
-drop by more than ``gate`` (default 20%). Wall time itself is never
-gated - shared runners are too noisy - only the throughput and
-work-shape metrics derived from deterministic instruction counts.
+:func:`compare_reports` implements the CI gate against a committed
+baseline report, in two parts:
+
+* **Work counters, exact.** When both reports ran the same suite on the
+  same engine, every bench's ``committed`` and every ``hotpath`` counter
+  must equal the baseline's. These are deterministic, so any difference
+  is an algorithmic change; the change that causes it re-records the
+  baseline.
+* **Throughput, bounded.** ``instr_per_sec`` and ``batched_issue_ratio``
+  may not drop by more than ``gate`` (default 20%). ``instr_per_sec`` is
+  committed instructions over wall time, so this part is noisy on
+  shared runners; ``perfbench/`` (same-machine A/B with spread) is the
+  measurement of record for speed.
 """
 
 from __future__ import annotations
@@ -133,19 +141,34 @@ class MetricDelta:
         return self.current / self.baseline if self.baseline else float("inf")
 
 
+@dataclass(frozen=True)
+class CounterMismatch:
+    """One work counter of one benchmark that differs from the baseline."""
+
+    bench: str
+    counter: str
+    baseline: Optional[int]
+    current: Optional[int]
+
+
 @dataclass
 class BenchComparison:
     """Outcome of :func:`compare_reports`."""
 
     gate: float
     deltas: List[MetricDelta] = field(default_factory=list)
+    #: Work counters that differ (empty when the counters were not
+    #: compared because the suites or engines differ).
+    counter_mismatches: List[CounterMismatch] = field(default_factory=list)
+    #: Whether the exact counter check ran (same suite and engine).
+    counters_compared: bool = False
     #: Benchmarks present in only one of the two reports (not gated).
     missing_in_current: List[str] = field(default_factory=list)
     missing_in_baseline: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not any(d.regressed for d in self.deltas)
+        return not self.counter_mismatches and not any(d.regressed for d in self.deltas)
 
     @property
     def regressions(self) -> List[MetricDelta]:
@@ -166,6 +189,14 @@ class BenchComparison:
             title=f"baseline comparison (fail below {1.0 - self.gate:.2f}x)",
         )
         notes = []
+        if self.counter_mismatches:
+            notes.append("work counters differ from the baseline:")
+            notes.extend(
+                f"  {m.bench}.{m.counter}: baseline {m.baseline}, current {m.current}"
+                for m in self.counter_mismatches
+            )
+        elif not self.counters_compared:
+            notes.append("work counters not compared (suite or engine differs)")
         if self.missing_in_current:
             notes.append(f"not run here: {', '.join(self.missing_in_current)}")
         if self.missing_in_baseline:
@@ -180,22 +211,33 @@ def compare_reports(
     baseline: Mapping[str, Any],
     gate: float = 0.20,
 ) -> BenchComparison:
-    """Gate ``current`` against ``baseline`` on the throughput metrics.
+    """Gate ``current`` against ``baseline``: exact counters, bounded throughput.
 
-    A benchmark regresses when a gated metric falls more than ``gate``
-    (fractional) below the baseline value. Metrics that are null/zero in
-    the baseline are reported but never gated (nothing to compare to);
-    benchmarks present in only one report are listed, not failed, so a
-    renamed or added benchmark does not brick CI.
+    When both reports ran the same suite on the same engine, a benchmark
+    fails if its ``committed`` count or any ``hotpath`` counter differs
+    from the baseline (a counter present on one side only differs too).
+    A benchmark regresses when a gated throughput metric falls more than
+    ``gate`` (fractional) below the baseline value. Metrics that are
+    null/zero in the baseline are reported but never gated (nothing to
+    compare to); benchmarks present in only one report are listed, not
+    failed, so a renamed or added benchmark does not brick CI.
     """
     if not 0.0 < gate < 1.0:
         raise ValueError("gate must be a fraction in (0, 1)")
-    cur = validate_bench_report(current)["results"]
-    base = validate_bench_report(baseline)["results"]
-    cmp = BenchComparison(gate=gate)
+    current = validate_bench_report(current)
+    baseline = validate_bench_report(baseline)
+    cur, base = current["results"], baseline["results"]
+    cmp = BenchComparison(
+        gate=gate,
+        counters_compared=(
+            current["suite"] == baseline["suite"] and current["engine"] == baseline["engine"]
+        ),
+    )
     cmp.missing_in_current = sorted(set(base) - set(cur))
     cmp.missing_in_baseline = sorted(set(cur) - set(base))
     for name in sorted(set(cur) & set(base)):
+        if cmp.counters_compared:
+            cmp.counter_mismatches.extend(_counter_mismatches(name, cur[name], base[name]))
         for metric in GATED_METRICS:
             b, c = base[name].get(metric), cur[name].get(metric)
             if b is None or c is None or b <= 0:
@@ -210,11 +252,26 @@ def compare_reports(
     return cmp
 
 
+def _counter_mismatches(
+    name: str, current: Mapping[str, Any], baseline: Mapping[str, Any]
+) -> List[CounterMismatch]:
+    out = []
+    if current["committed"] != baseline["committed"]:
+        out.append(CounterMismatch(name, "committed", baseline["committed"], current["committed"]))
+    cur_hot, base_hot = current["hotpath"], baseline["hotpath"]
+    for counter in sorted(set(cur_hot) | set(base_hot)):
+        b, c = base_hot.get(counter), cur_hot.get(counter)
+        if b != c:
+            out.append(CounterMismatch(name, f"hotpath.{counter}", b, c))
+    return out
+
+
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "GATED_METRICS",
     "REQUIRED_RESULT_FIELDS",
     "BenchComparison",
+    "CounterMismatch",
     "MetricDelta",
     "compare_reports",
     "load_bench_json",

@@ -54,8 +54,9 @@ Commands:
   paths (core engine loop, issue scan, oracle sampling, predictor
   update, end to end), emitting a versioned ``BENCH_*.json`` report
   (``--json FILE``) and optionally gating against a committed baseline
-  (``--against FILE``, fail when instr/sec or the batched-issue ratio
-  drops more than ``--gate`` below it).
+  (``--against FILE``, fail when a work counter differs from it or
+  instr/sec or the batched-issue ratio drops more than ``--gate`` below
+  it).
 
 Sweep commands (``run``/``compare``/``figure``) accept ``--workers N``
 to fan cells across processes, and cache results on disk (disable with
@@ -892,9 +893,14 @@ def cmd_bench(args) -> int:
         comparison = compare_reports(report, baseline, gate=args.gate)
         print()
         print(comparison.render())
-        if not comparison.ok:
+        if comparison.counter_mismatches:
+            names = {m.bench for m in comparison.counter_mismatches}
+            print(f"\nFAIL: work counters differ from the baseline in "
+                  f"{', '.join(sorted(names))}")
+        if comparison.regressions:
             names = {d.bench for d in comparison.regressions}
             print(f"\nFAIL: performance regression in {', '.join(sorted(names))}")
+        if not comparison.ok:
             return 1
     return 0
 
@@ -1480,7 +1486,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the machine-readable bench report to FILE")
     sp.add_argument("--against", metavar="FILE",
                     help="compare against a baseline report; exit 1 when a "
-                         "gated metric regresses past --gate")
+                         "work counter differs (same suite and engine) or "
+                         "a gated metric regresses past --gate")
     sp.add_argument("--gate", type=float, default=0.20,
                     help="allowed fractional drop vs the baseline "
                          "(default %(default)s)")

@@ -18,12 +18,29 @@ Two scheduler implementations share all issue/retire/memory semantics
 * ``"event"`` (default): maintained event state. Runnable wavefronts live
   in exactly one of two heaps - a ready pool ordered by age and a wakeup
   heap ordered by ``ready_at`` - so each cycle touches only the waves
-  that can actually issue, and ``_next_wakeup`` is a heap peek instead of
-  a scan over every resident wave. When a single wavefront is runnable
-  and no wakeup is pending, consecutive compute/branch instructions are
-  batched through :meth:`ComputeUnit._run_batch` as one timing event
-  stream. Both paths replay the reference loop's float operations in the
-  same order, so results are bit-identical.
+  that can actually issue, and the next wakeup is a heap peek instead of
+  a scan over every resident wave. :meth:`ComputeUnit.run_until` keeps
+  the per-step cost low:
+
+  - *Idle-quantum exit.* When nothing is ready and neither heap's head
+    falls before the quantum end, the quantum is exactly one no-issue
+    step whose gap runs to ``t_end``; it is taken without entering the
+    loop.
+  - *Inlined issue and delivery.* VALU/SALU, BRANCH, LOAD/STORE (hit
+    draw, memory request and outstanding-op accounting) and WAITCNT
+    issue inside the scan loop from the compiled decode table, and
+    memory completions are delivered there too. Only ENDPGM and BARRIER
+    leave the loop (:meth:`ComputeUnit._issue_fast`), because they can
+    re-enter the scheduler through ``_wake``.
+  - *Single-wave batching.* When one wavefront is runnable and no wakeup
+    is pending, consecutive compute/branch instructions stream through
+    :meth:`ComputeUnit._run_batch` as one timing event.
+
+  Every path replays the reference loop's float operations in the same
+  order, and the hot-path counters (``ctr_cycles``,
+  ``ctr_waves_scanned``, ``ctr_batched``, ``ctr_completions``) count
+  exactly the steps, pops and deliveries the plain per-step loop would:
+  a speed-up of this engine changes neither results nor counters.
 * ``"reference"``: the original per-cycle rescan loop, kept verbatim as
   the golden baseline for the equivalence tests (including its
   scheduling quirk: retiring a wave mid-scan skips the wave that shifts
@@ -41,7 +58,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.config import GpuConfig
 from repro.gpu.isa import CompiledProgram, InstructionKind, Program
 from repro.gpu.memory import MemorySubsystem
-from repro.gpu.wavefront import Wavefront
+from repro.gpu.wavefront import _PHI, Wavefront
 
 #: A pending workgroup: tuple of (workgroup_id, wave_in_group, program).
 #: The program may be a raw :class:`Program` or its compiled decode table;
@@ -193,11 +210,16 @@ class ComputeUnit:
         self._wakeups: List[Tuple[float, int, Wavefront]] = []
         #: Count of runnable resident waves (maintained in both engines).
         self._runnable = 0
-        #: Current scheduler time, used by ``_wake`` to route pushes.
+        #: Scheduler time ``_wake`` routes pushes by. ``run_until`` writes
+        #: it only before a call that can reach ``_wake`` (ENDPGM and
+        #: BARRIER issue) and on exit.
         self._cycle_now = 0.0
         #: Waves to skip for the remainder of the current issue scan
-        #: (reproduces the reference loop's retire-shift quirk).
+        #: (reproduces the reference loop's retire-shift quirk). None
+        #: outside a scan that retired a wave.
         self._skip: Optional[List[Wavefront]] = None
+        #: True while the event engine's ``run_until`` loop runs, so a
+        #: retire records the shifted wave in ``_skip``.
         self._in_scan = False
         # --- hot-path counters (observational only; never read by the
         # timing model - see repro.runtime.profiling) -----------------
@@ -301,81 +323,237 @@ class ComputeUnit:
     # Execution
 
     def run_until(self, t_end: float, mem: MemorySubsystem) -> None:
-        """Advance this CU's local clock to ``t_end``."""
+        """Advance this CU's local clock to ``t_end``.
+
+        The event engine's loop is the reference loop's step sequence
+        with the issue, completion delivery and ``_wake`` routing inlined
+        (see the module docstring). Per-quantum invariants are hoisted
+        into locals; the counters accumulate in locals and are flushed
+        on exit.
+        """
         if not self._event_engine:
             self._run_until_reference(t_end, mem)
             return
-        if self.now >= t_end:
+        now = self.now
+        if now >= t_end:
             self.now = t_end
             return
-        cycle = 1.0 / self.frequency_ghz
-        issue_width = self.config.issue_width
         ready = self._ready
         wakeups = self._wakeups
         completions = self.completions
         stats = self.stats
-        now = self.now
-        while now < t_end:
-            self._cycle_now = now
+        if (
+            not ready
+            and (not completions or completions[0][0] >= t_end)
+            and (not wakeups or wakeups[0][0] >= t_end)
+        ):
+            # Idle quantum: exactly the loop's one no-issue step, whose
+            # gap runs straight to ``t_end``.
             self.ctr_cycles += 1
-            if completions and completions[0][0] <= now:
-                self._deliver_completions(now)
+            if self._runnable:
+                stats.core_busy_ns += t_end - now
+            self.now = t_end
+            self._cycle_now = t_end
+            return
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        cycle = 1.0 / self.frequency_ghz
+        issue_width = self.config.issue_width
+        l1_hit_ns = self.config.memory.l1_hit_cycles * cycle
+        wave_by_id = self.wave_by_id
+        epoch_start = self.epoch_start
+        n_cycles = 0
+        n_scanned = 0
+        n_completions = 0
+        self._in_scan = True
+        while now < t_end:
+            n_cycles += 1
+            # Completion delivery, with ``_wake``'s routing inlined.
+            while completions and completions[0][0] <= now:
+                completion, _seq, wf_id, is_store = heappop(completions)
+                wf = wave_by_id.get(wf_id)
+                if wf is None:
+                    continue
+                n_completions += 1
+                wf.outstanding -= 1
+                if is_store:
+                    wf.outstanding_stores -= 1
+                if wf.outstanding < 0:
+                    raise RuntimeError("memory completion underflow")
+                target = wf.blocked_wait_target
+                if target is not None and wf.outstanding <= target:
+                    # Wavefront.unblock_wait, inlined: charge the
+                    # stall within the epoch; the WAITCNT retires.
+                    since = wf.blocked_since
+                    start = epoch_start if epoch_start > since else since
+                    if completion > start:
+                        stalled = completion - start
+                        wstats = wf.stats
+                        wstats.stall_ns += stalled
+                        if wf.outstanding_stores > 0:
+                            wstats.store_stall_ns += stalled
+                    wf.blocked_wait_target = None
+                    wf.blocked_since = completion
+                    if wf.ready_at < completion:
+                        wf.ready_at = completion
+                    wf.pc_idx += 1
+                    self._runnable += 1
+                    if wf.ready_at <= now:
+                        heappush(ready, (wf.age, wf))
+                    else:
+                        heappush(wakeups, (wf.ready_at, wf.age, wf))
             while wakeups and wakeups[0][0] <= now:
-                _, age, wf = heapq.heappop(wakeups)
-                heapq.heappush(ready, (age, wf))
-            if len(ready) == 1 and not wakeups:
-                wf = ready[0][1]
-                if wf.code.batchable[wf.pc_idx]:
-                    heapq.heappop(ready)
-                    now = self._run_batch(wf, now, t_end, cycle)
-                    # Always re-file via the wakeup heap: ``now`` may have
-                    # overshot ``t_end``, in which case the wave is *not*
-                    # ready at the start of the next quantum. The refill
-                    # at the top of the loop promotes it the moment
-                    # ``ready_at`` actually passes.
-                    heapq.heappush(wakeups, (wf.ready_at, wf.age, wf))
+                _, age, wf = heappop(wakeups)
+                heappush(ready, (age, wf))
+            if ready:  # else straight to the no-issue step below
+                if len(ready) == 1 and not wakeups:
+                    wf = ready[0][1]
+                    if wf.code.batchable[wf.pc_idx]:
+                        heappop(ready)
+                        now = self._run_batch(wf, now, t_end, cycle)
+                        # Always re-file via the wakeup heap: ``now`` may have
+                        # overshot ``t_end``, in which case the wave is *not*
+                        # ready at the start of the next quantum. The refill
+                        # at the top of the loop promotes it the moment
+                        # ``ready_at`` actually passes.
+                        heappush(wakeups, (wf.ready_at, wf.age, wf))
+                        continue
+                issued = 0
+                cursor = -1
+                deferred: Optional[List[Tuple[int, Wavefront]]] = None
+                skip: Optional[List[Wavefront]] = None
+                while ready and issued < issue_width:
+                    age, wf = heappop(ready)
+                    n_scanned += 1
+                    if age <= cursor:
+                        # Became ready behind the scan position: next cycle.
+                        if deferred is None:
+                            deferred = []
+                        deferred.append((age, wf))
+                        continue
+                    cursor = age
+                    if skip is not None and any(s is wf for s in skip):
+                        if deferred is None:
+                            deferred = []
+                        deferred.append((age, wf))
+                        continue
+                    issued += 1
+                    code = wf.code
+                    pc = wf.pc_idx
+                    kind = code.kinds[pc]
+                    if kind == _K_VALU or kind == _K_SALU:
+                        try:
+                            cost = code._cost_cache[cycle][pc]
+                        except KeyError:
+                            cost = code.costs_for(cycle)[pc]
+                        ra = wf.ready_at = now + cost
+                        wstats = wf.stats
+                        wstats.busy_ns += cost
+                        wstats.committed += 1
+                        wstats.committed_compute += 1
+                        stats.committed += 1
+                        stats.committed_compute += 1
+                        wf.pc_idx = pc + 1
+                    elif kind == _K_BRANCH:
+                        counters = wf.loop_counters
+                        remaining = counters.get(pc)
+                        if remaining is None:
+                            remaining = code.trip_counts[pc]
+                        if remaining > 0:
+                            counters[pc] = remaining - 1
+                            wf.pc_idx = code.branch_targets[pc]
+                        else:
+                            # Loop exhausted: reset so a future re-entry iterates.
+                            counters.pop(pc, None)
+                            wf.pc_idx = pc + 1
+                        ra = wf.ready_at = now + cycle
+                        wstats = wf.stats
+                        wstats.committed += 1
+                        wstats.committed_compute += 1
+                        stats.committed += 1
+                        stats.committed_compute += 1
+                    elif kind == _K_LOAD or kind == _K_STORE:
+                        is_store = kind == _K_STORE
+                        # Wavefront.draw_hits, inlined.
+                        visits = wf.pc_visits
+                        count = visits.get(pc, 0)
+                        visits[pc] = count + 1
+                        salt = ((wf.workgroup_id * 7 + wf.wave_in_group) * 0.23606797749979) % 1.0
+                        base = (pc * 0.3819660112501051 + salt) % 1.0
+                        jitter = code.pattern_jitters[pc]
+                        if ((count * _PHI + pc * 0.7548776662466927) % 1.0) < jitter:
+                            base = (base + count * _PHI) % 1.0
+                        if base < code.l1_hit_rates[pc]:
+                            completion = now + l1_hit_ns
+                        else:
+                            # Address-derived bank key: a pure function of which
+                            # access this is, independent of global arrival order.
+                            completion = mem.serve(
+                                now,
+                                ((base + 0.5) % 1.0) < code.l2_hit_rates[pc],
+                                pc * 131 + count * 7 + wf.workgroup_id * 13 + wf.wave_in_group,
+                            )[0]
+                        # Wavefront.note_mem_issue, inlined.
+                        wstats = wf.stats
+                        if wf.outstanding == 0:
+                            # A leading load/store: no other memory op in flight.
+                            wstats.leading_load_ns += completion - now
+                        last = wf.last_mem_completion
+                        overlap_from = last if last > now else now
+                        if completion > overlap_from:
+                            wstats.critical_mem_ns += completion - overlap_from
+                        if completion > last:
+                            wf.last_mem_completion = completion
+                        wf.outstanding += 1
+                        if is_store:
+                            wf.outstanding_stores += 1
+                            wstats.stores_issued += 1
+                        else:
+                            wstats.loads_issued += 1
+                        seq = self._completion_seq = self._completion_seq + 1
+                        heappush(completions, (completion, seq, wf.wf_id, is_store))
+                        try:
+                            cost = code._cost_cache[cycle][pc]
+                        except KeyError:
+                            cost = code.costs_for(cycle)[pc]
+                        ra = wf.ready_at = now + cost
+                        wstats.busy_ns += cost
+                        wstats.committed += 1
+                        wstats.committed_memory += 1
+                        stats.committed += 1
+                        stats.committed_memory += 1
+                        if is_store:
+                            stats.stores += 1
+                        else:
+                            stats.loads += 1
+                        wf.pc_idx = pc + 1
+                    elif kind == _K_WAITCNT:
+                        target = code.wait_targets[pc]
+                        if wf.outstanding > target:
+                            wf.blocked_wait_target = target
+                            wf.blocked_since = now
+                            self._runnable -= 1
+                            continue
+                        ra = wf.ready_at = now + cycle
+                        wf.pc_idx = pc + 1
+                    else:
+                        # ENDPGM / BARRIER: these can reach ``_wake``.
+                        self._cycle_now = now
+                        self._issue_fast(wf, kind, now, cycle)
+                        skip = self._skip
+                        continue
+                    heappush(wakeups, (ra, age, wf))
+                if skip is not None:
+                    self._skip = None
+                if deferred is not None:
+                    for entry in deferred:
+                        heappush(ready, entry)
+                if issued:
+                    stats.issued += issued
+                    stats.active_cycles += 1
+                    stats.core_busy_ns += cycle
+                    now += cycle
                     continue
-            issued = 0
-            scanned = 0
-            cursor = -1
-            deferred: Optional[List[Tuple[int, Wavefront]]] = None
-            self._skip = None
-            self._in_scan = True
-            while ready and issued < issue_width:
-                age, wf = heapq.heappop(ready)
-                scanned += 1
-                if age <= cursor:
-                    # Became ready behind the scan position: next cycle.
-                    if deferred is None:
-                        deferred = []
-                    deferred.append((age, wf))
-                    continue
-                cursor = age
-                skip = self._skip
-                if skip is not None and any(s is wf for s in skip):
-                    if deferred is None:
-                        deferred = []
-                    deferred.append((age, wf))
-                    continue
-                code = wf.code
-                kind = code.kinds[wf.pc_idx]
-                self._issue_fast(wf, code, kind, now, cycle, mem)
-                issued += 1
-                if kind == _K_ENDPGM or kind == _K_BARRIER or wf.blocked:
-                    continue  # retired / barrier or waitcnt handled above
-                heapq.heappush(wakeups, (wf.ready_at, wf.age, wf))
-            self._in_scan = False
-            self._skip = None
-            if deferred is not None:
-                for entry in deferred:
-                    heapq.heappush(ready, entry)
-            self.ctr_waves_scanned += scanned
-            if issued:
-                stats.issued += issued
-                stats.active_cycles += 1
-                stats.core_busy_ns += cycle
-                now += cycle
-                continue
             nxt = t_end
             if completions and completions[0][0] < nxt:
                 nxt = completions[0][0]
@@ -390,6 +568,10 @@ class ComputeUnit:
                     # this gap is core time, not asynchronous time.
                     stats.core_busy_ns += nxt - now
                 now = nxt
+        self._in_scan = False
+        self.ctr_cycles += n_cycles
+        self.ctr_waves_scanned += n_scanned
+        self.ctr_completions += n_completions
         self.now = t_end
         self._cycle_now = t_end
 
@@ -550,78 +732,15 @@ class ComputeUnit:
                 wf.unblock_wait(completion, self.epoch_start)
                 self._wake(wf)
 
-    def _issue_fast(
-        self,
-        wf: Wavefront,
-        code: CompiledProgram,
-        kind: int,
-        now: float,
-        cycle: float,
-        mem: MemorySubsystem,
-    ) -> None:
-        """Issue one instruction from the compiled decode table.
+    def _issue_fast(self, wf: Wavefront, kind: int, now: float, cycle: float) -> None:
+        """Issue an ENDPGM or BARRIER for the event engine.
 
-        Semantics (and float-operation order) are identical to
-        :meth:`_issue`; the only differences are mechanical: fields come
-        from the flat per-pc arrays instead of a materialised
-        :class:`Instruction`, dispatch compares plain ints, and the
-        per-frequency ``cycles * cycle`` product comes precomputed from
-        :meth:`CompiledProgram.costs_for` (the same multiply, hoisted).
-        The event engine calls this; the reference engine keeps the
-        dataclass-decode :meth:`_issue`, which is what makes the
-        engine-equivalence suite a continuous compiled-vs-dataclass
-        decode check.
+        :meth:`run_until` issues every other kind inline from the
+        compiled decode table; these two leave the scan because they can
+        reach :meth:`_wake` (a barrier release, or a retire that
+        dispatches new waves). Semantics are those of :meth:`_issue`.
         """
-        pc = wf.pc_idx
-        wstats = wf.stats
-        stats = self.stats
-        if kind == _K_VALU or kind == _K_SALU:
-            cost = code.costs_for(cycle)[pc]
-            wf.ready_at = now + cost
-            wstats.busy_ns += cost
-            wstats.committed += 1
-            wstats.committed_compute += 1
-            stats.committed += 1
-            stats.committed_compute += 1
-            wf.pc_idx = pc + 1
-        elif kind == _K_LOAD or kind == _K_STORE:
-            is_store = kind == _K_STORE
-            l1_hit, l2_hit, visit = wf.draw_hits(
-                pc, code.l1_hit_rates[pc], code.l2_hit_rates[pc], code.pattern_jitters[pc]
-            )
-            if l1_hit:
-                completion = now + self.config.memory.l1_hit_cycles * cycle
-            else:
-                # Address-derived bank key: a pure function of which
-                # access this is, independent of global arrival order.
-                bank_key = pc * 131 + visit * 7 + wf.workgroup_id * 13 + wf.wave_in_group
-                completion = mem.request(now, l2_hit, bank_key).completion_ns
-            wf.note_mem_issue(now, completion, is_store)
-            self._completion_seq += 1
-            heapq.heappush(
-                self.completions, (completion, self._completion_seq, wf.wf_id, is_store)
-            )
-            cost = code.costs_for(cycle)[pc]
-            wf.ready_at = now + cost
-            wstats.busy_ns += cost
-            wstats.committed += 1
-            wstats.committed_memory += 1
-            stats.committed += 1
-            stats.committed_memory += 1
-            if is_store:
-                stats.stores += 1
-            else:
-                stats.loads += 1
-            wf.pc_idx = pc + 1
-        elif kind == _K_WAITCNT:
-            target = code.wait_targets[pc]
-            if wf.outstanding <= target:
-                wf.ready_at = now + cycle
-                wf.pc_idx = pc + 1
-            else:
-                wf.block_wait(target, now)
-                self._runnable -= 1
-        elif kind == _K_BARRIER:
+        if kind == _K_BARRIER:
             wg = wf.workgroup_id
             wf.block_barrier(now)
             self._runnable -= 1
@@ -629,23 +748,6 @@ class ComputeUnit:
             self.barrier_arrived[wg] = arrived
             if arrived >= self.wg_alive.get(wg, 0):
                 self._release_barrier(wg, now + cycle)
-        elif kind == _K_BRANCH:
-            counters = wf.loop_counters
-            remaining = counters.get(pc)
-            if remaining is None:
-                remaining = code.trip_counts[pc]
-            if remaining > 0:
-                counters[pc] = remaining - 1
-                wf.pc_idx = code.branch_targets[pc]
-            else:
-                # Loop exhausted: reset so a future re-entry iterates.
-                counters.pop(pc, None)
-                wf.pc_idx = pc + 1
-            wf.ready_at = now + cycle
-            wstats.committed += 1
-            wstats.committed_compute += 1
-            stats.committed += 1
-            stats.committed_compute += 1
         elif kind == _K_ENDPGM:
             self._retire_wave(wf, now)
         else:  # pragma: no cover - enum is closed

@@ -194,10 +194,13 @@ class Gpu:
             cu.begin_epoch(t0)
         quantum = min(self.config.sync_quantum_ns, epoch_ns)
         t = t0
-        while t < t1 - 1e-9:
+        t_stop = t1 - 1e-9
+        memory = self.memory
+        run_untils = [cu.run_until for cu in self.cus]
+        while t < t_stop:
             t = min(t + quantum, t1)
-            for cu in self.cus:
-                cu.run_until(t, self.memory)
+            for run_until in run_untils:
+                run_until(t, memory)
         for cu in self.cus:
             cu.settle_epoch(t1)
         self.time = t1

@@ -21,7 +21,7 @@ effect reported for ``FwdSoft`` (Section 6.2): running many CUs faster can
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.config import MemoryConfig
 
@@ -97,12 +97,21 @@ class MemorySubsystem:
         Returns:
             The request outcome including its completion time.
         """
+        return MemoryRequest(*self.serve(now, l2_hit, bank_key))
+
+    def serve(self, now: float, l2_hit: bool, bank_key: int = 0) -> Tuple[float, str, float]:
+        """:meth:`request` as a plain ``(completion_ns, level, queue_ns)``
+        tuple: the event engine's issue loop calls this once per L1 miss
+        and reads only the completion time."""
         cfg = self.config
         self.request_counter += 1
         self._update_rate(now)
 
-        if l2_hit and self.thrash_degradation() > 0.0:
-            if self._draw() < self.thrash_degradation():
+        if l2_hit:
+            # ``_draw`` moves only ``thrash_counter``, so one evaluation
+            # serves both the gate and the comparison.
+            degradation = self.thrash_degradation()
+            if degradation > 0.0 and self._draw() < degradation:
                 l2_hit = False
 
         bank = (bank_key * 2654435761) % cfg.n_l2_banks
@@ -114,7 +123,7 @@ class MemorySubsystem:
         if l2_hit:
             done = start + cfg.l2_service_ns + cfg.l2_hit_extra_ns
             completion = done + cfg.l2_interconnect_ns
-            return MemoryRequest(completion, "l2", queue_ns)
+            return completion, "l2", queue_ns
 
         channel = bank % cfg.n_dram_channels
         d_arrive = start + cfg.l2_service_ns
@@ -123,7 +132,7 @@ class MemorySubsystem:
         self.channel_busy_until[channel] = d_start + cfg.dram_service_ns
         done = d_start + cfg.dram_service_ns + cfg.dram_extra_ns
         completion = done + cfg.l2_interconnect_ns
-        return MemoryRequest(completion, "dram", queue_ns)
+        return completion, "dram", queue_ns
 
     # ------------------------------------------------------------------
 

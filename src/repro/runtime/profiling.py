@@ -1,15 +1,19 @@
 """Zero-dependency hot-path profiling for the simulation engine.
 
-The CI container has one CPU, so wall-clock time cannot demonstrate the
-event engine's speedup. Instead, the hot objects count the work they do
-(`plain int` attributes, bumped on the hot path, never read by the timing
-model) and this module collects, merges and formats those counters:
+The hot objects count the work they do (`plain int` attributes, bumped
+on the hot path, never read by the timing model) and this module
+collects, merges and formats those counters. They are deterministic, so
+they are compared exactly (``repro bench --against``, ``perfbench``'s
+expected outputs): a change to them is an algorithmic change, whereas an
+engine speed-up leaves them as they are. Wall-clock speed is measured by
+same-machine A/B runs of ``perfbench/``, not by these counters.
 
 * ``cycles``                 - scheduler steps simulated across all CUs.
 * ``waves_scanned``          - wavefront readiness examinations. The
   reference engine examines every resident wave each cycle (issue scan
   plus the ``_next_wakeup`` scan); the event engine only pops waves that
-  can actually issue. The ≥3x reduction is the tentpole's measured win.
+  can actually issue, at least 3x fewer on the experiment scripts'
+  platform.
 * ``batched_instructions``   - instructions retired through the
   single-wave straight-line batch path (no per-cycle rescan at all).
 * ``completions_delivered``  - memory completions delivered to waves.

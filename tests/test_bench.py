@@ -101,6 +101,54 @@ class TestBaselineGate:
             compare_reports(quick_report, quick_report, gate=1.5)
 
 
+class TestCounterGate:
+    def test_identical_reports_compare_counters_and_pass(self, quick_report):
+        cmp = compare_reports(quick_report, quick_report)
+        assert cmp.counters_compared
+        assert cmp.counter_mismatches == []
+        assert cmp.ok
+
+    def test_perturbed_waves_scanned_fails(self, quick_report):
+        changed = copy.deepcopy(quick_report)
+        changed["results"]["core_engine"]["hotpath"]["waves_scanned"] += 1
+        cmp = compare_reports(changed, quick_report)
+        assert not cmp.ok
+        assert not cmp.regressions  # the throughput gate is not what failed
+        assert [(m.bench, m.counter) for m in cmp.counter_mismatches] == [
+            ("core_engine", "hotpath.waves_scanned")
+        ]
+        assert "core_engine.hotpath.waves_scanned" in cmp.render()
+
+    def test_perturbed_committed_fails(self, quick_report):
+        changed = copy.deepcopy(quick_report)
+        changed["results"]["core_engine"]["committed"] += 1
+        cmp = compare_reports(changed, quick_report)
+        assert [(m.bench, m.counter) for m in cmp.counter_mismatches] == [
+            ("core_engine", "committed")
+        ]
+
+    def test_different_suites_are_not_compared(self, quick_report):
+        full = copy.deepcopy(quick_report)
+        full["suite"] = "full"
+        full["results"]["core_engine"]["hotpath"]["waves_scanned"] += 1
+        cmp = compare_reports(full, quick_report)
+        assert not cmp.counters_compared
+        assert cmp.ok
+        assert "not compared" in cmp.render()
+
+    def test_quick_suite_counters_equal_committed_baseline(self):
+        import pathlib
+
+        path = (pathlib.Path(__file__).parent.parent / "benchmarks" / "baselines"
+                / "BENCH_post_change.json")
+        baseline = load_bench_json(path)
+        report = run_benchmarks(quick=True, repeats=1)
+        assert set(report["results"]) == set(baseline["results"])
+        cmp = compare_reports(report, baseline)
+        assert cmp.counters_compared
+        assert cmp.counter_mismatches == []
+
+
 class TestCli:
     def test_bench_writes_report_and_gates_against_itself(self, tmp_path, capsys):
         path = tmp_path / "BENCH_ci.json"

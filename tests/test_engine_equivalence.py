@@ -10,15 +10,18 @@ golden-trace comparisons never rot.
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.config import small_config
+from repro.config import GpuConfig, MemoryConfig, small_config
 from repro.dvfs.designs import make_controller
 from repro.dvfs.simulation import DvfsSimulation
 from repro.gpu.gpu import Gpu
+from repro.gpu.isa import Program, branch, endpgm, load, store, valu, waitcnt
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
 from repro.workloads import build_workload, workload
 
 from helpers import make_loop_program
+from test_compiled import programs
 
 #: One representative per workload class (HPC compute, HPC memory,
 #: MI GEMM, MI layer op) - see repro.workloads.suite.
@@ -33,18 +36,15 @@ def engine_pair(base_cfg):
 
 
 def cu_state(gpu):
-    """Everything scheduling-visible, compared with exact ==."""
+    """Everything scheduling-visible, compared with exact ==: each CU's
+    clock and epoch stats, every resident wave's full captured state
+    (pc, loop counters, readiness, blocking, memory bookkeeping, epoch
+    stats), the completions heap and the pending workgroups."""
     return [
         (
             cu.now,
-            cu.stats.committed,
-            cu.stats.core_busy_ns,
-            cu.stats.issued,
-            tuple(
-                (wf.wf_id, wf.pc_idx, wf.ready_at, wf.blocked, wf.outstanding,
-                 wf.stats.committed, wf.stats.stall_ns)
-                for wf in cu.waves
-            ),
+            cu.stats.capture(),
+            tuple(wf.capture() for wf in cu.waves),
             tuple(cu.completions),
             tuple(cu.pending_workgroups),
         )
@@ -98,8 +98,81 @@ class TestLockstep:
         assert cu_state(ge) == cu_state(gr)
 
 
+#: Two CUs in separate V/f domains, room for one 4-wave workgroup plus
+#: a 2-wave one: exercises pending dispatch and shared-memory contention.
+DIFF_GPU = GpuConfig(n_cus=2, waves_per_cu=6, cus_per_domain=1,
+                     memory=MemoryConfig(n_l2_banks=2))
+
+#: Per-epoch domain frequencies (GHz): a change between epochs moves the
+#: cycle period mid-run, so the cost tables are read at several periods.
+DIFF_FREQS = ((1.7, 1.7), (1.3, 2.2), (2.2, 1.0), (1.7, 1.3))
+
+
+def run_differential(prog, n_workgroups, waves_per_wg, epoch_ns=100.0, max_epochs=200):
+    """Run ``prog`` on both engines in epoch lockstep; also fork the event
+    engine each epoch (snapshot, run, restore, re-run) and require the
+    re-run to land on the same state. Returns the epochs run."""
+    kern = Kernel.homogeneous(prog, WorkgroupGeometry(n_workgroups, waves_per_wg))
+    ge = Gpu(replace(DIFF_GPU, engine="event"))
+    gr = Gpu(replace(DIFF_GPU, engine="reference"))
+    ge.load_kernel(kern)
+    gr.load_kernel(kern)
+    epochs = 0
+    while not (ge.done and gr.done) and epochs < max_epochs:
+        freqs = DIFF_FREQS[epochs % len(DIFF_FREQS)]
+        ge.set_domain_frequencies(freqs)
+        gr.set_domain_frequencies(freqs)
+        snap = ge.snapshot()
+        ge.run_epoch(epoch_ns)
+        forked = cu_state(ge)
+        ge.restore(snap)
+        ge.run_epoch(epoch_ns)
+        assert cu_state(ge) == forked, f"fork re-run diverged at epoch {epochs}"
+        gr.run_epoch(epoch_ns)
+        assert cu_state(ge) == cu_state(gr), f"engines diverged at epoch {epochs}"
+        epochs += 1
+    assert ge.done == gr.done
+    return epochs
+
+
+class TestGeneratedPrograms:
+    """Engine differential over generated programs (mixed VALU/SALU,
+    loads/stores, WAITCNT, BARRIER, nested backward branches)."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        prog=programs(),
+        outer_trips=st.integers(0, 8),
+        n_workgroups=st.integers(1, 3),
+        waves_per_wg=st.integers(2, 4),
+    )
+    def test_generated_program_lockstep(self, prog, outer_trips, n_workgroups, waves_per_wg):
+        # Wrap the body in an outer loop so runs span many epochs.
+        body = list(prog.instructions[:-1])
+        looped = Program.from_list(body + [branch(0, outer_trips), endpgm()], name=prog.name)
+        run_differential(looped, n_workgroups, waves_per_wg)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # Every wave blocked on memory most of the time.
+            [load(0.2, 0.3), waitcnt(0)],
+            # A wave runnable but mid-instruction across whole quanta.
+            [valu(cycles=48), store(0.5, 0.5), load(0.2, 0.3), waitcnt(0)],
+        ],
+        ids=["load-waitcnt", "long-valu"],
+    )
+    def test_idle_quanta_lockstep(self, body):
+        """Loops whose quanta mostly issue nothing: the case the event
+        engine's idle-quantum exit short-cuts."""
+        prog = Program.from_list(body + [branch(0, 40), endpgm()], name="idle")
+        assert run_differential(prog, n_workgroups=3, waves_per_wg=2) > 5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestGoldenRuns:
-    """Full DVFS runs (controller + oracle) must be bit-identical."""
+    """Full DVFS runs (controller + oracle) must be bit-identical, compared
+    over completed runs so the tail (retire, later dispatches) counts."""
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_run_result_bit_identical(self, name):
@@ -109,9 +182,10 @@ class TestGoldenRuns:
             ctrl = make_controller("PCSTALL", cfg)
             sim = DvfsSimulation(
                 kernels, ctrl, cfg, design_name="PCSTALL", workload_name=name,
-                collect_accuracy=True, max_epochs=40, oracle_sample_freqs=3,
+                collect_accuracy=True, oracle_sample_freqs=3,
             )
             results[cfg.gpu.engine] = sim.run()
+        assert results["event"].completed
         assert result_signature(results["event"]) == result_signature(
             results["reference"]
         )
@@ -123,9 +197,10 @@ class TestGoldenRuns:
             ctrl = make_controller("STATIC@1.7", cfg)
             sim = DvfsSimulation(
                 kernels, ctrl, cfg, design_name="STATIC@1.7", workload_name="comd",
-                max_epochs=40, oracle_sample_freqs=3,
+                oracle_sample_freqs=3,
             )
             results[cfg.gpu.engine] = sim.run()
+        assert results["event"].completed
         assert result_signature(results["event"]) == result_signature(
             results["reference"]
         )
