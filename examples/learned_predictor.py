@@ -27,7 +27,7 @@ from repro.learn import (
     offline_metrics,
 )
 from repro.runtime.executor import SweepTask, run_task
-from repro.telemetry import EpochTraceRecorder, TelemetryConfig
+from repro.obs import Tracer
 
 #: Designs whose traces feed the trainer. Static points pin the ends of
 #: the frequency range; the dynamic designs add realistic phase mixes.
@@ -35,17 +35,11 @@ RECORDING_DESIGNS = ("PCSTALL", "STATIC@1.3", "STATIC@2.2")
 
 
 def record_trace(path: Path, design: str, config) -> None:
-    recorder = EpochTraceRecorder(TelemetryConfig(
-        ring_size=0,
-        jsonl_path=str(path),
-        record_pc_attribution=False,
-        record_observations=True,
-    ))
     task = SweepTask("dgemm", design, config, scale=0.2,
                      max_epochs=60, oracle_sample_freqs=3,
                      collect_accuracy=True)
-    with recorder:
-        run_task(task, recorder=recorder)
+    with Tracer(jsonl_path=str(path), observations=True) as tracer:
+        run_task(task, tracer=tracer)
 
 
 def main() -> None:

@@ -55,12 +55,8 @@ from repro.config import (
 )
 from repro.dvfs import DESIGN_NAMES, DvfsSimulation, OracleSampler, make_controller
 from repro.runtime import ResultCache, SweepExecutor, SweepInstrumentation, SweepTask
-from repro.telemetry import (
-    AccuracyReport,
-    EpochTraceRecorder,
-    MetricsRegistry,
-    TelemetryConfig,
-)
+from repro.obs import Tracer
+from repro.telemetry import AccuracyReport, MetricsRegistry
 
 __version__ = "1.10.0"
 
@@ -82,8 +78,7 @@ __all__ = [
     "SweepInstrumentation",
     "SweepTask",
     "AccuracyReport",
-    "EpochTraceRecorder",
     "MetricsRegistry",
-    "TelemetryConfig",
+    "Tracer",
     "__version__",
 ]

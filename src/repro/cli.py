@@ -20,10 +20,10 @@ Commands:
   additionally captures a real profile; ``--engine reference`` runs the
   pre-event-engine loop for comparison).
 * ``storage``  - print the TABLE I storage-overhead model.
-* ``trace``    - run one workload x design with the epoch telemetry
-  recorder attached: per-epoch decision table on stdout, optional
-  ``--jsonl`` record stream and ``--perfetto`` Chrome-trace export
-  (load the latter at https://ui.perfetto.dev).
+* ``trace``    - run one workload x design with the span tracer
+  attached: per-epoch decision table on stdout, optional ``--jsonl``
+  trace stream and ``--perfetto`` Chrome-trace export (load the latter
+  at https://ui.perfetto.dev).
 * ``report``   - prediction-accuracy drill-down (``--accuracy``):
   error percentiles, decision confusion matrix vs the oracle, and
   per-PC error attribution, across workloads or from a saved
@@ -435,58 +435,30 @@ def cmd_storage(_args) -> int:
     return 0
 
 
-def _recorder_for(args):
-    """A recorder whose ring holds a whole run (1 epoch + n_domains
-    records per epoch, plus headers/footers)."""
-    from repro.telemetry import EpochTraceRecorder, TelemetryConfig
-
-    observations = getattr(args, "observations", False)
-    jsonl = getattr(args, "jsonl", None)
-    if observations and not jsonl:
-        raise SystemExit("--observations streams to disk only; add --jsonl FILE")
-    n_domains = max(1, args.cus // args.cus_per_domain)
-    ring = (args.max_epochs + 2) * (n_domains + 1)
-    return EpochTraceRecorder(
-        TelemetryConfig(
-            ring_size=ring,
-            jsonl_path=jsonl,
-            record_observations=observations,
-        )
-    )
-
-
 def cmd_trace(args) -> int:
+    from repro.obs import Tracer
     from repro.runtime.executor import run_task
-    from repro.telemetry import save_perfetto_json
+    from repro.telemetry import save_perfetto_json, span_attrs
 
-    tracer = None
-    if args.spans:
-        from repro.obs import Tracer
-
-        tracer = Tracer(ring_size=0, jsonl_path=args.spans)
+    if args.observations and not args.jsonl:
+        raise SystemExit("--observations streams to disk only; add --jsonl FILE")
     drift = None
-    with _recorder_for(args) as rec:
+    # An unbounded ring holds the whole run for the table and Perfetto.
+    with Tracer(
+        ring_size=0, jsonl_path=args.jsonl, observations=args.observations
+    ) as tracer:
+        result = run_task(_sweep_task(args, args.design), tracer=tracer)
         if args.drift:
             from repro.obs import DriftConfig, DriftMonitor, get_logger
 
-            drift = DriftMonitor(
-                DriftConfig(),
-                registry=rec.registry,
-                tracer=tracer,
-                log=get_logger("drift"),
-            )
-            rec.drift = drift
-        try:
-            result = run_task(
-                _sweep_task(args, args.design), recorder=rec, tracer=tracer
-            )
-        finally:
-            if tracer is not None:
-                tracer.close()
+            drift = DriftMonitor(DriftConfig(), tracer=tracer, log=get_logger("drift"))
+            drift.observe_trace(tracer.records)
 
-    first = max(0, rec.epochs - args.epochs)
+    epochs = span_attrs(tracer.records, "epoch")
+    domains = [r for attrs in epochs for r in attrs["domains"]]
+    first = max(0, len(epochs) - args.epochs)
     rows = []
-    for r in rec.domain_records():
+    for r in domains:
         if r["epoch"] < first:
             continue
         rows.append([
@@ -504,23 +476,19 @@ def cmd_trace(args) -> int:
         rows,
         title=(
             f"{args.workload}/{args.design}: epoch decisions "
-            f"(last {args.epochs} of {rec.epochs} epochs)"
+            f"(last {args.epochs} of {len(epochs)} epochs)"
         ),
     ))
-    counters = rec.registry.counter_values("telemetry_")
-    decisions = counters.get("telemetry_decisions", 0)
-    missed = counters.get("telemetry_mispredictions", 0)
+    decisions = sum(r["mispredicted"] is not None for r in domains)
+    missed = sum(bool(r["mispredicted"]) for r in domains)
     print(
-        f"\n{rec.epochs} epochs, {rec.total_records} records "
-        f"({rec.dropped} dropped from ring), "
-        f"{missed:.0f}/{decisions:.0f} decisions off oracle-best; "
+        f"\n{len(epochs)} epochs, {len(tracer.records)} records, "
+        f"{missed}/{decisions} decisions off oracle-best; "
         f"run: delay {result.delay_ns / 1e3:.1f} us, "
         f"energy {result.energy.total:.3f}"
     )
     if args.jsonl:
-        print(f"epoch records streamed to {args.jsonl}")
-    if args.spans:
-        print(f"{tracer.total_spans} spans streamed to {args.spans}")
+        print(f"{tracer.total_spans} spans streamed to {args.jsonl}")
     if drift is not None:
         if drift.alerts:
             print(f"drift: {drift.alert_count} alert(s)")
@@ -529,10 +497,7 @@ def cmd_trace(args) -> int:
         else:
             print("drift: no alerts")
     if args.perfetto:
-        records = list(rec.records)
-        if tracer is not None:
-            records.extend(tracer.records)
-        n = save_perfetto_json(records, args.perfetto)
+        n = save_perfetto_json(tracer.records, args.perfetto)
         print(f"Perfetto trace ({n} events) written to {args.perfetto} "
               f"(load at https://ui.perfetto.dev)")
     return 0
@@ -550,14 +515,15 @@ def cmd_report(args) -> int:
 
         reports.append(AccuracyReport.from_records(load_trace_jsonl(args.jsonl)))
     else:
+        from repro.obs import Tracer
         from repro.runtime.executor import run_task
 
         for w in args.workloads.split(","):
             args.workload = w
-            with _recorder_for(args) as rec:
-                run_task(_sweep_task(args, args.design), recorder=rec)
+            tracer = Tracer(ring_size=0)
+            run_task(_sweep_task(args, args.design), tracer=tracer)
             reports.append(
-                AccuracyReport.from_recorder(rec, label=f"{w}/{args.design}")
+                AccuracyReport.from_records(tracer.records, label=f"{w}/{args.design}")
             )
 
     rows = []
@@ -1284,30 +1250,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "trace",
-        help="run with the epoch telemetry recorder attached; print "
-             "per-epoch decisions, optionally export JSONL / Perfetto",
+        help="run with the span tracer attached; print per-epoch "
+             "decisions, optionally export JSONL / Perfetto",
     )
     common(sp)
     sp.add_argument("--design", default="PCSTALL")
     sp.add_argument("--epochs", type=int, default=8,
                     help="trailing epochs to print in the decision table")
     sp.add_argument("--jsonl", metavar="FILE",
-                    help="stream every epoch record to this JSONL file")
+                    help="stream the trace (run/epoch/oracle_sample spans "
+                         "with the per-epoch decisions) to this JSONL file")
     sp.add_argument("--perfetto", metavar="FILE",
                     help="write a Chrome-trace JSON timeline to FILE "
                          "(open at https://ui.perfetto.dev)")
     sp.add_argument("--observations", action="store_true",
-                    help="also stream per-epoch observation records (the "
-                         "full predictor input) into the --jsonl file, "
-                         "making the trace replayable against a live "
-                         "server (repro replay)")
-    sp.add_argument("--spans", metavar="FILE",
-                    help="attach the span tracer and stream run/epoch/"
-                         "oracle_sample spans to this JSONL file; with "
-                         "--perfetto, spans render on the same timeline")
+                    help="also put each epoch's full predictor input on "
+                         "its span in the --jsonl file, making the trace "
+                         "replayable against a live server (repro replay)")
     sp.add_argument("--drift", action="store_true",
-                    help="attach the online drift monitor to the recorder "
-                         "and report rel_error alerts after the run")
+                    help="run the drift monitor over the trace's rel_error "
+                         "and report alerts after the run")
     sp.set_defaults(fn=cmd_trace)
 
     sp = sub.add_parser(

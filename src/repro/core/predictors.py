@@ -194,8 +194,9 @@ class PCBasedPredictor(Predictor):
     def table_stats(self) -> Dict[str, int]:
         """Cumulative PC-table counters summed across every table.
 
-        The telemetry recorder diffs consecutive snapshots into
-        per-epoch lookup/hit/update/eviction deltas.
+        The epoch digest (:mod:`repro.telemetry.digest`) diffs
+        consecutive snapshots into per-epoch
+        lookup/hit/update/eviction deltas.
         """
         return {
             "lookups": sum(t.lookups for t in self.tables),

@@ -18,7 +18,6 @@ drains, the next kernel is dispatched within the same run (e.g. lulesh's
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
@@ -33,10 +32,10 @@ from repro.gpu.kernel import Kernel
 from repro.power.energy import EnergyAccountant, EnergyBreakdown
 from repro.power.model import PowerModel
 from repro.runtime.profiling import collect_hotpath
+from repro.telemetry.digest import RunDigest
 
 if TYPE_CHECKING:  # telemetry/obs never import dvfs; the arrow points here
     from repro.obs import Tracer
-    from repro.telemetry import EpochTraceRecorder
 
 
 @dataclass
@@ -95,7 +94,6 @@ class DvfsSimulation:
         max_epochs: int = 5_000,
         oracle_sample_freqs: Optional[int] = None,
         power_manager: Optional["HierarchicalPowerManager"] = None,
-        telemetry: Optional["EpochTraceRecorder"] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
         if not kernels:
@@ -118,13 +116,11 @@ class DvfsSimulation:
         #: Optional millisecond-scale power manager (Section 5.4); fed
         #: the measured epoch power so it can narrow the V/f window.
         self.power_manager = power_manager
-        #: Optional epoch trace recorder. When None (the default) the
-        #: run pays one ``is None`` branch per epoch and allocates no
-        #: telemetry objects - results are bit-identical to a run
-        #: without the telemetry subsystem.
-        self.telemetry = telemetry
-        #: Optional span tracer (same zero-overhead discipline): spans
-        #: only observe wall time, they never feed back into the run.
+        #: Optional span tracer. Its ``run``/``epoch`` spans carry the
+        #: per-epoch decision digest (see :mod:`repro.telemetry.digest`).
+        #: When None (the default) the run pays one ``is None`` branch
+        #: per epoch and allocates no telemetry objects; either way the
+        #: spans only observe, they never feed back into the run.
         self.tracer = tracer
 
     # ------------------------------------------------------------------
@@ -146,21 +142,21 @@ class DvfsSimulation:
         total_committed = 0
         total_transitions = 0
         epochs = 0
-        tel = self.telemetry
         tr = self.tracer
         run_span = None
+        digest = None
         if tr is not None:
+            digest = RunDigest(cfg, observations=tr.observations)
             run_span = tr.start(
-                "run", workload=self.workload_name, design=self.design_name
-            )
-        if tel is not None:
-            tel.begin_run(
-                workload=self.workload_name,
-                design=self.design_name,
-                sim_config=cfg,
-                objective_name=getattr(self.controller.objective, "name", ""),
+                "run",
+                **digest.run_attrs(
+                    self.workload_name,
+                    self.design_name,
+                    getattr(self.controller.objective, "name", ""),
+                ),
             )
 
+        run_result: Optional[RunResult] = None
         try:
             while epochs < self.max_epochs:
                 if gpu.done:
@@ -171,8 +167,6 @@ class DvfsSimulation:
                 epoch_span = None
                 if tr is not None:
                     epoch_span = tr.start("epoch", parent=run_span, epoch=epochs)
-                if tel is not None:
-                    t_wall0 = time.perf_counter()
                     prev_freqs = self.controller.current_frequencies
 
                 sample: Optional[OracleSample] = None
@@ -222,7 +216,7 @@ class DvfsSimulation:
                 truth = sample.lines if (sample and predictor.needs_elapsed_truth) else None
                 self.controller.observe(result, true_domain_lines=truth)
 
-                if tel is not None:
+                if epoch_span is not None:
                     oracle_freqs = None
                     if sample is not None:
                         # Score against the oracle: the frequency this
@@ -237,71 +231,72 @@ class DvfsSimulation:
                         if hasattr(predictor, "table_stats")
                         else None
                     )
-                    tel.record_epoch(
-                        epoch_index=epochs - 1,
-                        result=result,
-                        chosen_freqs=freqs,
-                        predictions=predictions,
-                        actual_per_domain=actual_per_domain,
-                        sample=sample,
-                        oracle_freqs=oracle_freqs,
-                        epoch_energy=epoch_energy,
-                        pc_cumulative=pc_cumulative,
-                        wall_s=time.perf_counter() - t_wall0,
-                    )
-                if epoch_span is not None:
                     tr.finish(
                         epoch_span,
-                        committed=result.total_committed(),
-                        transitions=changed,
+                        **digest.epoch_attrs(
+                            epoch_index=epochs - 1,
+                            result=result,
+                            chosen_freqs=freqs,
+                            predictions=predictions,
+                            actual_per_domain=actual_per_domain,
+                            sample=sample,
+                            oracle_freqs=oracle_freqs,
+                            epoch_energy=epoch_energy,
+                            pc_cumulative=pc_cumulative,
+                        ),
                     )
+
+            hotpath = collect_hotpath(gpu, self._oracle)
+
+            completed = gpu.done and not pending
+            if completed:
+                # The last epoch overshoots the final retirement, so wall-clock
+                # delay is when the last wavefront retired, not gpu.time.
+                delay = gpu.completion_time
+                if delay <= 0.0:  # degenerate: nothing ever retired
+                    delay = gpu.time
+            else:
+                # Truncated at max_epochs: only the simulated window elapsed.
+                delay = gpu.time
+                warnings.warn(
+                    f"{self.workload_name}/{self.design_name}: run truncated at "
+                    f"max_epochs={self.max_epochs} with work still resident; "
+                    "delay/EDP cover only the simulated window "
+                    "(RunResult.completed=False)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+
+            hit_ratio = None
+            if hasattr(predictor, "hit_ratio"):
+                hit_ratio = predictor.hit_ratio()  # type: ignore[attr-defined]
+
+            run_result = RunResult(
+                design=self.design_name,
+                workload=self.workload_name,
+                epochs=epochs,
+                delay_ns=delay,
+                energy=accountant.breakdown,
+                prediction_accuracy=(sum(accuracies) / len(accuracies)) if accuracies else None,
+                frequency_residency=self.controller.log.frequency_residency(
+                    cfg.dvfs.frequencies_ghz
+                ),
+                total_committed=total_committed,
+                total_transitions=total_transitions,
+                pc_hit_ratio=hit_ratio,
+                completed=completed,
+                hotpath=hotpath,
+            )
         finally:
             if run_span is not None:
-                tr.finish(run_span, epochs=epochs)
-
-        hotpath = collect_hotpath(gpu, self._oracle)
-
-        completed = gpu.done and not pending
-        if completed:
-            # The last epoch overshoots the final retirement, so wall-clock
-            # delay is when the last wavefront retired, not gpu.time.
-            delay = gpu.completion_time
-            if delay <= 0.0:  # degenerate: nothing ever retired
-                delay = gpu.time
-        else:
-            # Truncated at max_epochs: only the simulated window elapsed.
-            delay = gpu.time
-            warnings.warn(
-                f"{self.workload_name}/{self.design_name}: run truncated at "
-                f"max_epochs={self.max_epochs} with work still resident; "
-                "delay/EDP cover only the simulated window "
-                "(RunResult.completed=False)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-        hit_ratio = None
-        if hasattr(predictor, "hit_ratio"):
-            hit_ratio = predictor.hit_ratio()  # type: ignore[attr-defined]
-
-        run_result = RunResult(
-            design=self.design_name,
-            workload=self.workload_name,
-            epochs=epochs,
-            delay_ns=delay,
-            energy=accountant.breakdown,
-            prediction_accuracy=(sum(accuracies) / len(accuracies)) if accuracies else None,
-            frequency_residency=self.controller.log.frequency_residency(
-                cfg.dvfs.frequencies_ghz
-            ),
-            total_committed=total_committed,
-            total_transitions=total_transitions,
-            pc_hit_ratio=hit_ratio,
-            completed=completed,
-            hotpath=hotpath,
-        )
-        if tel is not None:
-            tel.end_run(run_result)
+                tr.finish(
+                    run_span,
+                    **(
+                        digest.summary_attrs(run_result)
+                        if run_result is not None
+                        else {"epochs": epochs}
+                    ),
+                )
         return run_result
 
 

@@ -49,7 +49,7 @@ from repro.learn.features import (
     LABEL_NAMES,
     FeatureExtractor,
 )
-from repro.telemetry.schema import build_meta, check_meta, load_trace_jsonl
+from repro.telemetry.schema import build_meta, load_trace_jsonl, span_attrs, trace_meta
 
 PathLike = Union[str, pathlib.Path]
 
@@ -158,17 +158,16 @@ def dataset_hash(ds: "Dataset") -> str:
 
 
 def _trace_header(records: Sequence[Dict[str, object]], path: PathLike):
-    for rec in records:
-        if rec.get("type") == "run":
-            meta = check_meta(rec)
-            if "sim_config" not in meta:
-                raise DatasetError(
-                    f"{path}: trace lacks an embedded sim_config; record it "
-                    f"with --observations (repro trace <w> --jsonl FILE "
-                    f"--observations)"
-                )
-            return meta
-    raise DatasetError(f"{path}: no run header record")
+    meta = trace_meta(records)
+    if meta is None or "workload" not in meta:
+        raise DatasetError(f"{path}: no trace header and run span")
+    if "sim_config" not in meta:
+        raise DatasetError(
+            f"{path}: trace lacks an embedded sim_config; record it "
+            f"with --observations (repro trace <w> --jsonl FILE "
+            f"--observations)"
+        )
+    return meta
 
 
 def extract_rows(
@@ -186,19 +185,21 @@ def extract_rows(
     sim_config = sim_config_from_wire(header["sim_config"])
     gpu_cfg = sim_config.gpu
 
-    observations = [r for r in records if r.get("type") == "observation"]
-    observations.sort(key=lambda r: int(r["epoch"]))
+    epochs = span_attrs(records, "epoch")
+    observations = sorted(
+        ((int(a["epoch"]), a["observation"]) for a in epochs if "observation" in a),
+        key=lambda pair: pair[0],
+    )
     if len(observations) < 2:
         raise DatasetError(
-            f"{source}: need at least two observation records to form "
+            f"{source}: need at least two epoch observations to form "
             f"(features, next-epoch label) pairs, got {len(observations)}"
         )
-    pc_deltas: Dict[int, Dict[str, float]] = {}
-    for rec in records:
-        if rec.get("type") == "epoch" and "pc_lookups" in rec:
-            pc_deltas[int(rec["epoch"])] = {
-                k: float(rec.get(k, 0)) for k in _PC_DELTA_KEYS
-            }
+    pc_deltas: Dict[int, Dict[str, float]] = {
+        int(a["epoch"]): {k: float(a.get(k, 0)) for k in _PC_DELTA_KEYS}
+        for a in epochs
+        if "pc_lookups" in a
+    }
 
     from repro.service.protocol import epoch_result_from_wire
 
@@ -209,16 +210,16 @@ def extract_rows(
     cols: Dict[str, List] = {k: [] for k in _ARRAY_KEYS if k != "eval_mask"}
 
     decoded = []
-    for obs in observations:
+    for epoch_idx, obs in observations:
         result = epoch_result_from_wire(obs["result"])
         truth = obs.get("truth")
         if truth is None:
             raise DatasetError(
-                f"{source}: observation for epoch {obs['epoch']} has no "
+                f"{source}: observation for epoch {epoch_idx} has no "
                 f"oracle truth lines; record the trace with oracle "
                 f"sampling enabled (repro trace does this by default)"
             )
-        decoded.append((int(obs["epoch"]), result, truth))
+        decoded.append((epoch_idx, result, truth))
 
     for (epoch_idx, result, truth), nxt in zip(decoded, decoded[1:]):
         next_epoch, next_result, next_truth = nxt

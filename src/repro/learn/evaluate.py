@@ -14,7 +14,7 @@ the full :class:`~repro.dvfs.simulation.DvfsSimulation` closed loop
 with the trained model making every decision, next to the hand-built
 baselines (PCSTALL / CRISP / HISTORY / STATIC) and the ORACLE upper
 bound, all with oracle scoring on. Each run carries an in-memory
-:class:`~repro.telemetry.recorder.EpochTraceRecorder` so the standard
+:class:`~repro.obs.trace.Tracer` so the standard
 :class:`~repro.telemetry.accuracy.AccuracyReport` drill-down (error
 percentiles, oracle agreement) comes out of the same machinery the
 ``repro report`` CLI uses, and EDP/ED2P deltas are quoted against the
@@ -40,7 +40,7 @@ from repro.dvfs.simulation import DvfsSimulation, RunResult
 from repro.learn.dataset import Dataset
 from repro.learn.models import LearnedPredictor, SensitivityModel
 from repro.telemetry.accuracy import AccuracyReport, percentile
-from repro.telemetry.recorder import EpochTraceRecorder, TelemetryConfig
+from repro.obs.trace import Tracer
 
 #: The hand-built designs a learned model is compared against.
 DEFAULT_BASELINES = ("STATIC@1.7", "CRISP", "HISTORY", "PCSTALL")
@@ -162,11 +162,9 @@ def _run_with_accuracy(
     from repro.workloads import build_workload, workload as get_workload
 
     kernels = build_workload(get_workload(workload), scale=scale)
-    # Ring sized to hold the whole run (1 epoch + n_domains records per
-    # epoch plus headers/footers) so the accuracy drill-down sees every
-    # decision, matching the repro trace CLI's sizing.
-    ring = (max_epochs + 2) * (config.gpu.n_domains + 1)
-    recorder = EpochTraceRecorder(TelemetryConfig(ring_size=ring))
+    # An unbounded ring holds the whole run, so the accuracy drill-down
+    # sees every decision.
+    tracer = Tracer(ring_size=0)
     sim = DvfsSimulation(
         kernels,
         controller,
@@ -176,10 +174,10 @@ def _run_with_accuracy(
         collect_accuracy=True,
         max_epochs=max_epochs,
         oracle_sample_freqs=oracle_sample_freqs,
-        telemetry=recorder,
+        tracer=tracer,
     )
     result = sim.run()
-    report = AccuracyReport.from_recorder(recorder, label=f"{workload}/{design}")
+    report = AccuracyReport.from_records(tracer.records, label=f"{workload}/{design}")
     return DesignEval(design, result, report)
 
 

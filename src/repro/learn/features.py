@@ -6,7 +6,7 @@ must be computable from the elapsed epoch's
 recurrence state) - no oracle, no PC tables, no future knowledge.
 :class:`FeatureExtractor` is that computation, and it is deliberately
 the **single implementation** shared by offline dataset extraction
-(:mod:`repro.learn.dataset` decodes archived observation records and
+(:mod:`repro.learn.dataset` decodes archived epoch observations and
 replays them through an extractor) and online serving
 (:class:`~repro.learn.models.LearnedPredictor` runs one inside
 ``observe``). Train/serve feature parity is therefore structural, not a

@@ -6,8 +6,9 @@ stays accurate; post-hoc aggregates (``repro report --accuracy``) show
 quality signals as they stream and raises a structured alert the moment
 a rolling-window statistic crosses its threshold:
 
-* ``rel_error`` - per-epoch relative prediction error (fed by the
-  epoch trace recorder, one observation per scored domain-epoch);
+* ``rel_error`` - per-epoch relative prediction error (fed from a
+  trace's ``epoch`` spans by :meth:`DriftMonitor.observe_trace`, one
+  observation per scored domain-epoch);
 * ``shed_rate`` - fraction of admitted-or-shed observations the
   decision service shed (fed per observe frame);
 * ``retry_rate`` - fraction of sweep cell attempts that failed
@@ -38,9 +39,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Iterable, List, Mapping, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.schema import span_attrs
 
 #: The signals a default-configured monitor watches.
 SIGNAL_REL_ERROR = "rel_error"
@@ -211,6 +213,14 @@ class DriftMonitor:
     def observe_error(self, rel_error: float) -> Optional[DriftAlert]:
         """One scored domain-epoch's relative prediction error."""
         return self.observe(SIGNAL_REL_ERROR, rel_error)
+
+    def observe_trace(self, records: Iterable[Mapping[str, object]]) -> None:
+        """Feed every scored domain's ``rel_error`` from a trace's
+        ``epoch`` spans, in epoch then domain order."""
+        for attrs in span_attrs(records, "epoch"):
+            for dom in attrs["domains"]:
+                if dom["rel_error"] is not None:
+                    self.observe_error(dom["rel_error"])
 
     def observe_shed(self, shed: bool) -> Optional[DriftAlert]:
         """One observe frame: shed (True) or admitted (False)."""

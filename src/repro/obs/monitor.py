@@ -1,11 +1,10 @@
-"""Live monitoring: tail a span/observation JSONL or poll ``/metrics``.
+"""Live monitoring: tail a trace JSONL or poll ``/metrics``.
 
 ``repro monitor`` renders one summary line per interval so an operator
 (or a CI log) can watch a sweep or a serving session as it runs:
 
-* **File mode** (``repro monitor FILE``): tails a JSONL stream - the
-  epoch trace recorder's output, a span tracer's output, or a combined
-  stream - and summarises the records that arrived in each interval
+* **File mode** (``repro monitor FILE``): tails a tracer's JSONL
+  stream and summarises the records that arrived in each interval
   (epochs, spans, mean relative error, drift alerts, slowest span).
 * **HTTP mode** (``repro monitor --url HOST:PORT``): polls a live
   decision service's ``/metrics`` endpoint and prints per-interval
@@ -22,7 +21,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Mapping, Optional, TextIO
+
+from repro.telemetry.schema import attrs_of
 
 
 @dataclass
@@ -38,7 +39,7 @@ class IntervalSummary:
     recoveries: int = 0
     #: Signals that alerted this interval.
     alert_signals: List[str] = field(default_factory=list)
-    #: Sum/count of rel_error over this interval's domain records.
+    #: Sum/count of rel_error over this interval's epoch-span domains.
     _err_sum: float = 0.0
     _err_n: int = 0
     #: Mispredictions / decisions this interval.
@@ -50,34 +51,37 @@ class IntervalSummary:
     def add(self, record: Mapping[str, object]) -> None:
         self.records += 1
         rtype = record.get("type")
-        if rtype == "epoch":
-            self.epochs += 1
-        elif rtype == "domain":
-            self.domains += 1
-            err = record.get("rel_error")
-            if err is not None:
-                self._err_sum += float(err)  # type: ignore[arg-type]
-                self._err_n += 1
-            missed = record.get("mispredicted")
-            if missed is not None:
-                self.decisions += 1
-                if missed:
-                    self.mispredicted += 1
-        elif rtype == "span":
+        if rtype == "span":
             self.spans += 1
             t0, t1 = record.get("t_start_ns"), record.get("t_end_ns")
             if t0 is not None and t1 is not None:
                 dur = int(t1) - int(t0)  # type: ignore[arg-type]
                 if self.slowest_span is None or dur > self.slowest_span[1]:
                     self.slowest_span = (record.get("name"), dur)
+            if record.get("name") == "epoch":
+                self._add_epoch(attrs_of(record))
         elif rtype == "alert":
             if record.get("kind") == "recovered":
                 self.recoveries += 1
             else:
                 self.alerts += 1
                 self.alert_signals.append(str(record.get("signal")))
-        elif rtype == "observation":
+
+    def _add_epoch(self, attrs: Mapping[str, Any]) -> None:
+        self.epochs += 1
+        if "observation" in attrs:
             self.observations += 1
+        for dom in attrs.get("domains", ()):
+            self.domains += 1
+            err = dom.get("rel_error")
+            if err is not None:
+                self._err_sum += float(err)
+                self._err_n += 1
+            missed = dom.get("mispredicted")
+            if missed is not None:
+                self.decisions += 1
+                if missed:
+                    self.mispredicted += 1
 
     @property
     def mean_rel_error(self) -> Optional[float]:

@@ -29,10 +29,12 @@ Design constraints, in priority order:
   precision, re-anchored to ``time.time_ns`` at tracer creation, so
   spans from different processes land on one shared timeline and can
   be rendered next to each other (``repro trace --perfetto``).
-* **Bounded memory.** Finished spans go to a ring buffer (and a JSONL
-  sink when configured) exactly like the epoch trace recorder - the
-  ring keeps the recent past for drill-down, the JSONL archives
-  everything.
+* **One stream.** Finished spans go to a ring buffer (and a JSONL
+  sink when configured): the ring keeps the recent past for
+  drill-down, the JSONL archives everything. The simulation's ``run``
+  and ``epoch`` spans carry the per-epoch decision digest as
+  attributes (see :mod:`repro.telemetry.schema`), so one stream
+  answers both "where did the time go" and "why this frequency".
 
 Cross-process propagation mirrors ``SweepInstrumentation``'s merge
 pattern: the parent ships a :class:`SpanContext` (trace id + parent
@@ -146,6 +148,7 @@ class Tracer:
         jsonl_path: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
         trace_id: Optional[str] = None,
+        observations: bool = False,
         _prefix: str = "",
         _parent_id: str = "",
     ) -> None:
@@ -153,6 +156,11 @@ class Tracer:
             raise ValueError("ring_size must be non-negative")
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
         self.registry = registry
+        #: Attach each epoch's complete predictor input (the wire
+        #: ``EpochResult`` plus oracle truth lines) to its ``epoch``
+        #: span and the full ``sim_config`` to the ``run`` span -
+        #: everything ``repro replay`` and ``repro learn extract`` need.
+        self.observations = observations
         #: Finished-span records, most recent ``ring_size`` (0 = unbounded;
         #: worker tracers use that so every record ships back intact).
         self.records: Deque[Dict[str, object]] = deque(
@@ -164,6 +172,7 @@ class Tracer:
         self._root_parent = _parent_id
         self._next_id = 0
         self.total_spans = 0
+        #: Records of any type evicted from the ring (the JSONL keeps them).
         self.dropped = 0
         #: Active context-manager span chain (``with tracer.span(...)``).
         self._stack: List[Span] = []
@@ -172,9 +181,7 @@ class Tracer:
         self._unix_anchor_ns = time.time_ns()
         self._perf_anchor_ns = time.perf_counter_ns()
         if not _prefix:
-            self._emit_record(
-                self._header_record(), count=False
-            )
+            self._emit_record(self._header_record())
 
     # ------------------------------------------------------------------
     # Construction across process boundaries
@@ -269,7 +276,7 @@ class Tracer:
 
     def emit(self, record: Dict[str, object]) -> None:
         """Sink a non-span record into the span stream (drift alerts)."""
-        self._emit_record(record, count=False)
+        self._emit_record(record)
 
     def collect(self) -> List[Dict[str, object]]:
         """Drain every held record (worker side, to ship with a result)."""
@@ -296,8 +303,8 @@ class Tracer:
 
         return {"type": "trace", "trace_id": self.trace_id, **build_meta()}
 
-    def _emit_record(self, record: Dict[str, object], count: bool = True) -> None:
-        if count and self.records.maxlen is not None and (
+    def _emit_record(self, record: Dict[str, object]) -> None:
+        if self.records.maxlen is not None and (
             len(self.records) == self.records.maxlen
         ):
             self.dropped += 1

@@ -118,16 +118,14 @@ class SweepTask:
         return task_key(self.cache_fields())
 
 
-def run_task(task: SweepTask, recorder=None, tracer=None):
+def run_task(task: SweepTask, tracer=None):
     """Execute one cell to completion (runs in worker processes too).
 
-    ``recorder`` is an optional
-    :class:`~repro.telemetry.recorder.EpochTraceRecorder` attached to
-    the simulation (used by ``repro trace`` / ``repro report``);
-    ``tracer`` an optional :class:`~repro.obs.trace.Tracer` for span
-    timing. Both are deliberately *not* part of :class:`SweepTask` -
-    observability never enters the result-cache key because it never
-    changes the result.
+    ``tracer`` is an optional :class:`~repro.obs.trace.Tracer`: span
+    timing plus the per-epoch decision digest (used by ``repro trace``
+    / ``repro report``). It is deliberately *not* part of
+    :class:`SweepTask` - observability never enters the result-cache
+    key because it never changes the result.
     """
     # Local imports keep worker start-up lean and avoid import cycles.
     from repro.dvfs.designs import make_controller
@@ -145,7 +143,6 @@ def run_task(task: SweepTask, recorder=None, tracer=None):
         collect_accuracy=task.collect_accuracy,
         max_epochs=task.max_epochs,
         oracle_sample_freqs=task.oracle_sample_freqs,
-        telemetry=recorder,
         tracer=tracer,
     )
     return sim.run()

@@ -30,7 +30,8 @@ from repro.service.client import (
     check_health,
     wait_until_healthy,
 )
-from repro.service.protocol import DEFAULT_HEALTH_PORT, DEFAULT_PORT, ProtocolError
+from repro.runtime.wire import ProtocolError
+from repro.service.protocol import DEFAULT_HEALTH_PORT, DEFAULT_PORT
 from repro.service.replay import ReplayReport, replay_trace
 from repro.service.server import DecisionService, ServiceConfig
 

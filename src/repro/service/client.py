@@ -27,6 +27,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.runtime.executor import RetryPolicy
+from repro.runtime.wire import ProtocolError, recv_frame, send_frame
 from repro.service import protocol as proto
 from repro.telemetry.schema import epoch_result_to_wire, sim_config_to_wire
 
@@ -214,8 +215,8 @@ class DecisionClient:
             return
         try:
             self._send({"type": proto.MSG_CLOSE})
-            proto.recv_frame(self._sock)  # bye (or EOF), best-effort
-        except (OSError, ServiceError, proto.ProtocolError):
+            recv_frame(self._sock)  # bye (or EOF), best-effort
+        except (OSError, ServiceError, ProtocolError):
             pass
         finally:
             self._sock.close()
@@ -233,7 +234,7 @@ class DecisionClient:
         if self._sock is None:
             raise ServiceError("client is not connected; call connect() first")
         try:
-            proto.send_frame(self._sock, message)
+            send_frame(self._sock, message)
         except OSError as exc:
             raise ServiceShutdown(f"server connection lost: {exc}") from None
 
@@ -241,7 +242,7 @@ class DecisionClient:
         if self._sock is None:
             raise ServiceError("client is not connected; call connect() first")
         try:
-            reply = proto.recv_frame(self._sock)
+            reply = recv_frame(self._sock)
         except socket.timeout:
             raise ServiceError(
                 f"no reply within {self.timeout_s}s"

@@ -6,8 +6,7 @@ Every message is one *frame*: a 4-byte big-endian unsigned length
 followed by that many bytes of UTF-8 JSON (one object per frame). The
 framing helpers (and the exact-float-round-trip rationale) live in
 :mod:`repro.runtime.wire`, shared with the distributed sweep broker;
-this module re-exports them so service code and existing callers keep
-one import site.
+import them from there.
 
 Message vocabulary
 ------------------
@@ -42,15 +41,7 @@ import re
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.config import DvfsConfig, GpuConfig, MemoryConfig, PowerConfig, SimConfig
-from repro.runtime.wire import (  # noqa: F401  (re-exported public surface)
-    MAX_FRAME_BYTES,
-    ProtocolError,
-    decode_payload,
-    encode_frame,
-    read_frame,
-    recv_frame,
-    send_frame,
-)
+from repro.runtime.wire import ProtocolError
 from repro.core.objectives import (
     EDnPObjective,
     Objective,
@@ -89,8 +80,9 @@ MSG_SHUTDOWN = "shutdown"
 # ----------------------------------------------------------------------
 # Wire <-> simulator objects
 #
-# The *_to_wire encoders live in repro.telemetry.schema (the recorder
-# writes them into traces without importing gpu/dvfs modules); the
+# The *_to_wire encoders live in repro.telemetry.schema (the tracer's
+# epoch digest writes them into traces without importing gpu/dvfs
+# modules); the
 # decoders live here because reconstructing live simulator objects is
 # exactly the service's job.
 
@@ -190,7 +182,7 @@ def objective_from_name(name: str) -> Optional[Objective]:
 
     Accepts the display names objectives stamp on themselves (``EDP``,
     ``ED2P``, ``ENERGY@5%``, ``QOS@1000``, ``STATIC@1.7GHz``) - which is
-    what run headers record - plus the CLI spellings (``ed2p``,
+    what run spans record - plus the CLI spellings (``ed2p``,
     ``cap5``). The empty string means "driver default" (ED2P, matching
     :func:`repro.dvfs.designs.make_controller`).
     """
@@ -223,7 +215,6 @@ def objective_from_name(name: str) -> Optional[Objective]:
 __all__ = [
     "DEFAULT_HEALTH_PORT",
     "DEFAULT_PORT",
-    "MAX_FRAME_BYTES",
     "MSG_BYE",
     "MSG_CLOSE",
     "MSG_DECISION",
@@ -236,15 +227,9 @@ __all__ = [
     "MSG_SHED",
     "MSG_SHUTDOWN",
     "PROTOCOL_VERSION",
-    "ProtocolError",
-    "decode_payload",
-    "encode_frame",
     "epoch_result_from_wire",
     "lines_from_wire",
     "lines_to_wire",
     "objective_from_name",
-    "read_frame",
-    "recv_frame",
-    "send_frame",
     "sim_config_from_wire",
 ]

@@ -1,11 +1,11 @@
 """``repro replay``: verify a live server against an offline trace.
 
 A trace recorded with ``repro trace ... --jsonl FILE --observations``
-holds, per epoch, both sides of the decision loop: the frequencies the
-offline :class:`~repro.dvfs.simulation.DvfsSimulation` chose (``domain``
-records) and the complete predictor input that produced them
-(``observation`` records), plus the full platform config in the run
-header. Replay reconstructs the loop against a *live* server:
+holds, on each ``epoch`` span, both sides of the decision loop: the
+frequencies the offline :class:`~repro.dvfs.simulation.DvfsSimulation`
+chose (``domains``) and the complete predictor input that produced them
+(``observation``), plus the full platform config on the ``run`` span.
+Replay reconstructs the loop against a *live* server:
 
 1. ``open`` a session with the trace's design/config/objective - the
    reply must equal the offline decision for epoch 0;
@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.runtime.executor import RetryPolicy
 from repro.service.client import DecisionClient
-from repro.telemetry.schema import check_meta, load_trace_jsonl
+from repro.telemetry.schema import check_meta, load_trace_jsonl, span_attrs
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class ReplayReport:
 
 @dataclass(frozen=True)
 class ReplayTrace:
-    """The replayable content of one epoch-trace JSONL."""
+    """The replayable content of one trace JSONL."""
 
     workload: str
     design: str
@@ -103,36 +103,32 @@ def load_replay_trace(path: str) -> ReplayTrace:
     gaps in the epoch sequence).
     """
     records = load_trace_jsonl(path)
-    if not records or records[0].get("type") != "run":
-        raise ValueError(f"{path}: not an epoch trace (no run header)")
-    header = check_meta(records[0])
+    if not records or records[0].get("type") != "trace":
+        raise ValueError(f"{path}: not a trace (no trace header)")
+    check_meta(records[0])
+    runs = span_attrs(records, "run")
+    header = runs[0] if runs else {}
 
     sim_config_wire = header.get("sim_config")
     if not isinstance(sim_config_wire, dict):
         raise ValueError(
-            f"{path}: run header has no embedded sim_config; re-record "
+            f"{path}: run span has no embedded sim_config; re-record "
             f"with: repro trace <workload> --jsonl FILE --observations"
         )
-    n_domains = int(header["n_domains"])  # type: ignore[arg-type]
+    n_domains = int(header["n_domains"])
 
     observations: Dict[int, Dict[str, Any]] = {}
     chosen: Dict[int, Dict[int, float]] = {}
-    for record in records[1:]:
-        rtype = record.get("type")
-        if rtype == "observation":
-            observations[int(record["epoch"])] = {  # type: ignore[arg-type]
-                "result": record["result"],
-                "truth": record.get("truth"),
-            }
-        elif rtype == "domain":
-            epoch = int(record["epoch"])  # type: ignore[arg-type]
-            chosen.setdefault(epoch, {})[int(record["domain"])] = (  # type: ignore[arg-type]
-                float(record["freq_ghz"])  # type: ignore[arg-type]
-            )
+    for attrs in span_attrs(records, "epoch"):
+        epoch = int(attrs["epoch"])
+        if "observation" in attrs:
+            observations[epoch] = attrs["observation"]
+        for dom in attrs["domains"]:
+            chosen.setdefault(epoch, {})[int(dom["domain"])] = float(dom["freq_ghz"])
 
     if not observations:
         raise ValueError(
-            f"{path}: no observation records; re-record with: "
+            f"{path}: no epoch observations; re-record with: "
             f"repro trace <workload> --jsonl FILE --observations"
         )
     n_epochs = len(observations)
@@ -140,7 +136,7 @@ def load_replay_trace(path: str) -> ReplayTrace:
         missing = [e for e in range(n_epochs) if e not in collection]
         if missing:
             raise ValueError(
-                f"{path}: {what} records missing for epochs {missing[:5]} "
+                f"{path}: {what} entries missing for epochs {missing[:5]} "
                 f"(trace truncated?)"
             )
     chosen_lists: List[List[float]] = []
@@ -148,7 +144,7 @@ def load_replay_trace(path: str) -> ReplayTrace:
         per_domain = chosen[e]
         if sorted(per_domain) != list(range(n_domains)):
             raise ValueError(
-                f"{path}: epoch {e} has domain records for {sorted(per_domain)}, "
+                f"{path}: epoch {e} has domain entries for {sorted(per_domain)}, "
                 f"expected 0..{n_domains - 1}"
             )
         chosen_lists.append([per_domain[d] for d in range(n_domains)])

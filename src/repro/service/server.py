@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.dvfs.designs import make_controller
 from repro.obs.log import get_logger
+from repro.runtime.wire import ProtocolError, encode_frame, read_frame
 from repro.service import protocol as proto
 from repro.telemetry.metrics import BATCH_BUCKETS, MetricsRegistry
 
@@ -252,8 +253,8 @@ class DecisionService:
         session: Optional[_Session] = None
         try:
             try:
-                msg = await proto.read_frame(reader)
-            except proto.ProtocolError as exc:
+                msg = await read_frame(reader)
+            except ProtocolError as exc:
                 self._reply(writer, {"type": proto.MSG_ERROR,
                                      "code": "protocol", "error": str(exc)})
                 return
@@ -270,8 +271,8 @@ class DecisionService:
 
             while True:
                 try:
-                    msg = await proto.read_frame(reader)
-                except proto.ProtocolError as exc:
+                    msg = await read_frame(reader)
+                except ProtocolError as exc:
                     self._write(session, {"type": proto.MSG_ERROR,
                                           "code": "protocol", "error": str(exc)})
                     break
@@ -348,7 +349,7 @@ class DecisionService:
                 design, sim_config, objective,
                 model_ref=self.config.model_ref,
             )
-        except (proto.ProtocolError, KeyError, ValueError) as exc:
+        except (ProtocolError, KeyError, ValueError) as exc:
             reject("bad_open", str(exc))
             return None
         if controller.predictor.needs_future_truth:
@@ -494,19 +495,19 @@ class DecisionService:
         try:
             result = proto.epoch_result_from_wire(msg["result"])
             if len(result.cu_stats) != controller.config.gpu.n_cus:
-                raise proto.ProtocolError(
+                raise ProtocolError(
                     f"observation has {len(result.cu_stats)} CUs, "
                     f"session platform has {controller.config.gpu.n_cus}"
                 )
             truth = None
             if controller.predictor.needs_elapsed_truth:
                 if msg.get("truth") is None:
-                    raise proto.ProtocolError(
+                    raise ProtocolError(
                         f"design {session.design!r} requires oracle truth "
                         f"lines with every observation"
                     )
                 truth = proto.lines_from_wire(msg["truth"])
-        except (proto.ProtocolError, KeyError) as exc:
+        except (ProtocolError, KeyError) as exc:
             reg.inc("service_bad_requests")
             return {"type": proto.MSG_ERROR, "code": "bad_observation",
                     "seq": seq, "error": str(exc)}
@@ -536,7 +537,7 @@ class DecisionService:
         if message is None or session.closed:
             return
         try:
-            session.writer.write(proto.encode_frame(message))
+            session.writer.write(encode_frame(message))
         except (ConnectionError, RuntimeError):
             session.closed = True
 
@@ -544,7 +545,7 @@ class DecisionService:
     def _reply(writer: asyncio.StreamWriter, message: Dict[str, object]) -> None:
         """Pre-session write (open rejections, protocol errors)."""
         try:
-            writer.write(proto.encode_frame(message))
+            writer.write(encode_frame(message))
         except (ConnectionError, RuntimeError):
             pass
 

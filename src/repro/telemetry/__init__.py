@@ -1,23 +1,25 @@
 """Telemetry: a zero-overhead-when-off observability layer.
 
-Four pieces, threaded through the simulation loop, controller,
+Five pieces, threaded through the simulation loop, controller,
 predictors, PC table, oracle and sweep runtime:
 
 * :mod:`repro.telemetry.metrics` - :class:`MetricsRegistry`: mergeable
   counters/gauges/fixed-bucket histograms, the common sink the sweep
   instrumentation and hot-path profiler report through.
-* :mod:`repro.telemetry.recorder` - :class:`EpochTraceRecorder`: one
-  structured record per epoch per V/f domain (chosen frequency,
-  predicted vs actual commits, oracle truth, PC-table deltas,
-  stall/busy split, energy) with bounded memory (ring buffer and/or
-  streaming JSONL).
+* :mod:`repro.telemetry.digest` - :class:`RunDigest`: the per-epoch
+  decision digest (chosen frequency per V/f domain, predicted vs
+  actual commits, oracle truth, PC-table deltas, stall/busy split,
+  energy) that the simulation's ``run``/``epoch`` spans carry; the
+  :class:`~repro.obs.trace.Tracer` is the one sink.
+* :mod:`repro.telemetry.schema` - the stream's record schema, meta
+  header and validators.
 * :mod:`repro.telemetry.exporters` - Chrome-trace/Perfetto JSON export
-  (``repro trace --epochs``).
+  (``repro trace --perfetto``).
 * :mod:`repro.telemetry.accuracy` - prediction-error percentiles,
   decision confusion matrix vs the oracle, per-PC error attribution
   (``repro report --accuracy``).
 
-When no recorder is attached, the simulation pays a single ``is None``
+When no tracer is attached, the simulation pays a single ``is None``
 test per epoch and allocates nothing - tier-1 results stay bit-identical
 (see ``tests/test_telemetry.py``).
 """
@@ -37,7 +39,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     merge_all,
 )
-from repro.telemetry.recorder import EpochTraceRecorder, PcErrorStat, TelemetryConfig
+from repro.telemetry.digest import PcErrorStat, RunDigest
 from repro.telemetry.schema import (
     TRACE_SCHEMA_VERSION,
     build_meta,
@@ -45,6 +47,7 @@ from repro.telemetry.schema import (
     epoch_result_to_wire,
     load_trace_jsonl,
     sim_config_to_wire,
+    span_attrs,
     trace_meta,
     validate_records,
     validate_trace_file,
@@ -60,9 +63,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "merge_all",
-    "EpochTraceRecorder",
     "PcErrorStat",
-    "TelemetryConfig",
+    "RunDigest",
     "BATCH_BUCKETS",
     "TRACE_SCHEMA_VERSION",
     "build_meta",
@@ -70,6 +72,7 @@ __all__ = [
     "epoch_result_to_wire",
     "load_trace_jsonl",
     "sim_config_to_wire",
+    "span_attrs",
     "trace_meta",
     "validate_records",
     "validate_trace_file",

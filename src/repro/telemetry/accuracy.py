@@ -1,6 +1,6 @@
-"""Prediction-accuracy drill-down over epoch records.
+"""Prediction-accuracy drill-down over a trace's epoch spans.
 
-Turns a recorded epoch stream (in-memory recorder or loaded JSONL) into
+Turns a trace stream (a tracer's in-memory records or loaded JSONL) into
 the three diagnostics the ``repro report --accuracy`` CLI prints:
 
 * **Error percentiles** - exact p50/p90/p99/mean of the per-(domain,
@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.telemetry.schema import attrs_of
 
 #: Frequency bucket rounding for confusion-matrix keys (GHz).
 _FREQ_DECIMALS = 3
@@ -64,38 +66,24 @@ class AccuracyReport:
         """Build from a record stream (see :mod:`repro.telemetry.schema`)."""
         out = cls(label=label)
         for rec in records:
-            rtype = rec.get("type")
-            if rtype == "run" and not out.label:
-                out.label = f"{rec.get('workload', '?')}/{rec.get('design', '?')}"
-            elif rtype == "epoch":
+            if rec.get("type") != "span":
+                continue
+            attrs = attrs_of(rec)
+            if rec.get("name") == "run":
+                if not out.label:
+                    out.label = (
+                        f"{attrs.get('workload', '?')}/{attrs.get('design', '?')}"
+                    )
+                for pc in attrs.get("pc", ()):
+                    out.pc_attribution[int(pc["pc_idx"])] = (
+                        int(pc["samples"]),
+                        int(pc["committed"]),
+                        float(pc["weighted_error"]),
+                    )
+            elif rec.get("name") == "epoch":
                 out.epochs += 1
-            elif rtype == "domain":
-                out._add_domain_record(rec)
-            elif rtype == "pc":
-                out.pc_attribution[int(rec["pc_idx"])] = (
-                    int(rec["samples"]),
-                    int(rec["committed"]),
-                    float(rec["weighted_error"]),
-                )
-        return out
-
-    @classmethod
-    def from_recorder(cls, recorder, label: str = "") -> "AccuracyReport":
-        """Build from a live :class:`~repro.telemetry.recorder.EpochTraceRecorder`.
-
-        Uses the recorder's in-memory ring plus its aggregated PC stats,
-        so it works even when no JSONL file was written.
-        """
-        out = cls.from_records(recorder.records, label=label)
-        if not out.label and recorder.meta:
-            out.label = (
-                f"{recorder.meta.get('workload', '?')}/"
-                f"{recorder.meta.get('design', '?')}"
-            )
-        for pc_idx, stat in recorder.pc_stats.items():
-            out.pc_attribution[pc_idx] = (
-                stat.samples, stat.committed, stat.weighted_error
-            )
+                for dom in attrs.get("domains", ()):
+                    out._add_domain_record(dom)
         return out
 
     def _add_domain_record(self, rec: Mapping[str, object]) -> None:

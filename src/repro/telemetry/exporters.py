@@ -1,7 +1,8 @@
-"""Trace exporters: Chrome-trace/Perfetto JSON from epoch records.
+"""Trace exporters: Chrome-trace/Perfetto JSON from a trace stream.
 
 The exported file loads directly in https://ui.perfetto.dev (or
-``chrome://tracing``). The mapping:
+``chrome://tracing``). The ``epoch`` spans' decision digest renders on
+the simulated clock:
 
 * each V/f **domain** is a named thread (``tid = domain + 1``),
 * each recorded **epoch** is a complete slice (``ph: "X"``) on its
@@ -17,10 +18,9 @@ The exported file loads directly in https://ui.perfetto.dev (or
 Timestamps are simulated nanoseconds divided by 1000 (the trace format
 counts microseconds), so one 1 µs epoch renders as one 1-unit slice.
 
-When the record stream also carries **span** records (the
-``repro.obs.trace.Tracer`` output, merged with ``repro trace --spans``),
-they render as a second process ("repro spans"): each span is a complete
-slice whose track (tid) is its lane - one lane for spans minted by the
+Every **span** record also renders on the wall clock, as a second
+process ("repro spans"): each span is a complete slice, carrying its
+scalar attrs, whose track (tid) is its lane - one lane for spans minted by the
 root tracer, one per worker prefix, so parallel sweep cells sit on
 parallel tracks. Span timestamps are *wall*-clock nanoseconds
 re-anchored so the earliest span starts at ts 0, putting the wall
@@ -40,7 +40,7 @@ import json
 import pathlib
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.telemetry.schema import trace_meta
+from repro.telemetry.schema import attrs_of, span_attrs, trace_meta
 
 PathLike = Union[str, pathlib.Path]
 
@@ -61,23 +61,17 @@ def _span_lane(span_id: str) -> str:
 
 
 def perfetto_trace(records: Iterable[Mapping[str, object]]) -> Dict[str, object]:
-    """Convert an epoch record stream to a Chrome-trace JSON object."""
+    """Convert a trace stream to a Chrome-trace JSON object."""
     records = list(records)
     meta = trace_meta(records)
     events: List[Dict[str, object]] = []
 
-    # Epoch time windows, keyed by epoch index (domain records carry no
-    # clock; the epoch record is their timebase).
-    windows: Dict[int, tuple] = {}
-    domains = set()
+    epochs = span_attrs(records, "epoch")
+    domains = {int(dom["domain"]) for attrs in epochs for dom in attrs["domains"]}
     span_anchor_ns: Optional[float] = None
     lanes: Dict[str, int] = {}
     for rec in records:
-        if rec.get("type") == "epoch":
-            windows[int(rec["epoch"])] = (float(rec["t_start_ns"]), float(rec["t_end_ns"]))
-        elif rec.get("type") == "domain":
-            domains.add(int(rec["domain"]))
-        elif rec.get("type") == "span":
+        if rec.get("type") == "span":
             t0 = float(rec["t_start_ns"])
             if span_anchor_ns is None or t0 < span_anchor_ns:
                 span_anchor_ns = t0
@@ -105,24 +99,16 @@ def perfetto_trace(records: Iterable[Mapping[str, object]]) -> Dict[str, object]
                  "args": {"name": f"spans {lane}" if lane else "spans"}}
             )
 
-    last_span_end_us = 0.0
-    for rec in records:
-        rtype = rec.get("type")
-        if rtype == "epoch":
-            t0 = _us(float(rec["t_start_ns"]))
-            events.append(
-                {"ph": "C", "name": "epoch energy", "pid": _PID, "ts": t0,
-                 "args": {"energy": rec.get("energy", 0.0)}}
-            )
-        elif rtype == "domain":
-            epoch = int(rec["epoch"])
-            window = windows.get(epoch)
-            if window is None:
-                continue
-            t0_ns, t1_ns = window
-            t0, dur = _us(t0_ns), _us(t1_ns - t0_ns)
-            tid = int(rec["domain"]) + 1
-            freq = rec.get("freq_ghz")
+    for attrs in epochs:
+        t0_ns, t1_ns = float(attrs["t_start_ns"]), float(attrs["t_end_ns"])
+        t0, dur = _us(t0_ns), _us(t1_ns - t0_ns)
+        events.append(
+            {"ph": "C", "name": "epoch energy", "pid": _PID, "ts": t0,
+             "args": {"energy": attrs.get("energy", 0.0)}}
+        )
+        for dom in attrs["domains"]:
+            tid = int(dom["domain"]) + 1
+            freq = dom.get("freq_ghz")
             events.append(
                 {
                     "ph": "X",
@@ -133,21 +119,21 @@ def perfetto_trace(records: Iterable[Mapping[str, object]]) -> Dict[str, object]
                     "ts": t0,
                     "dur": dur,
                     "args": {
-                        "epoch": epoch,
-                        "pred_commits": rec.get("pred_commits"),
-                        "actual_commits": rec.get("actual_commits"),
-                        "rel_error": rec.get("rel_error"),
-                        "oracle_freq_ghz": rec.get("oracle_freq_ghz"),
-                        "busy_ns": rec.get("busy_ns"),
-                        "stall_ns": rec.get("stall_ns"),
+                        "epoch": dom["epoch"],
+                        "pred_commits": dom.get("pred_commits"),
+                        "actual_commits": dom.get("actual_commits"),
+                        "rel_error": dom.get("rel_error"),
+                        "oracle_freq_ghz": dom.get("oracle_freq_ghz"),
+                        "busy_ns": dom.get("busy_ns"),
+                        "stall_ns": dom.get("stall_ns"),
                     },
                 }
             )
             events.append(
-                {"ph": "C", "name": f"freq domain {rec['domain']}", "pid": _PID,
+                {"ph": "C", "name": f"freq domain {dom['domain']}", "pid": _PID,
                  "ts": t0, "args": {"GHz": freq}}
             )
-            if rec.get("mispredicted"):
+            if dom.get("mispredicted"):
                 events.append(
                     {
                         "ph": "i",
@@ -158,15 +144,24 @@ def perfetto_trace(records: Iterable[Mapping[str, object]]) -> Dict[str, object]
                         "ts": t0,
                         "args": {
                             "chosen_ghz": freq,
-                            "oracle_ghz": rec.get("oracle_freq_ghz"),
+                            "oracle_ghz": dom.get("oracle_freq_ghz"),
                         },
                     }
                 )
-        elif rtype == "span":
+
+    last_span_end_us = 0.0
+    for rec in records:
+        rtype = rec.get("type")
+        if rtype == "span":
             t0_ns = float(rec["t_start_ns"]) - (span_anchor_ns or 0.0)
             dur_ns = float(rec["t_end_ns"]) - float(rec["t_start_ns"])
             last_span_end_us = _us(t0_ns + dur_ns)
-            args = dict(rec.get("attrs") or {})
+            # Scalars only: the epoch digest and observations already
+            # render on the sim-clock tracks above.
+            args = {
+                k: v for k, v in attrs_of(rec).items()
+                if not isinstance(v, (dict, list))
+            }
             args["span_id"] = rec["span_id"]
             if rec.get("parent_id"):
                 args["parent_id"] = rec["parent_id"]

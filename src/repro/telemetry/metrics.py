@@ -2,8 +2,8 @@
 
 The :class:`MetricsRegistry` is the common sink every layer reports
 through: the sweep runtime (cell counts, cache hits, per-cell wall-time
-distribution), the hot-path profiler (work counters), and the epoch
-trace recorder (record counts, prediction-error distribution). Its
+distribution), the hot-path profiler (work counters), the span tracer
+(span counts) and the decision service. Its
 contract is shaped by the parallel sweep runtime:
 
 * **Mergeable** - a sweep fans cells across worker processes; each

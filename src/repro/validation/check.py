@@ -1,9 +1,9 @@
 """``repro check`` orchestration: invariants + differentials in one pass.
 
 The check harness runs a small (workload x design) matrix end to end
-with telemetry attached, audits every artifact the run produced
+with a tracer attached, audits every artifact the run produced
 (:func:`~repro.validation.invariants.audit_run_result`, the controller
-log, the PC tables, the epoch record stream), then exercises the three
+log, the PC tables, the trace's run and epoch spans), then exercises the three
 differential pairs from :mod:`repro.validation.differential` (event vs
 reference engine, serial vs parallel sweep, snapshot-fork vs clone
 oracle). Everything lands in one :class:`CheckReport`; ``repro check``
@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.analysis.experiments import QUICK_WORKLOADS
 from repro.config import SimConfig, small_config
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.recorder import EpochTraceRecorder, TelemetryConfig
+from repro.obs.trace import Tracer
 from repro.validation.differential import (
     DiffReport,
     engine_differential,
@@ -135,8 +135,7 @@ def _audit_cell(
     config = cfg.sim_config()
     kernels = build_workload(workload(workload_name), scale=cfg.scale)
     ctrl = make_controller(design, config, None)
-    ring = (cfg.max_epochs + 2) * (config.gpu.n_domains + 1)
-    recorder = EpochTraceRecorder(TelemetryConfig(ring_size=ring))
+    tracer = Tracer(ring_size=0)
     sim = DvfsSimulation(
         kernels,
         ctrl,
@@ -146,7 +145,7 @@ def _audit_cell(
         collect_accuracy=True,
         max_epochs=cfg.max_epochs,
         oracle_sample_freqs=cfg.oracle_sample_freqs,
-        telemetry=recorder,
+        tracer=tracer,
     )
     result = sim.run()
 
@@ -157,7 +156,7 @@ def _audit_cell(
     violations += _audit_noisy_residency(ctrl.log, grid, subject)
     for i, table in enumerate(getattr(ctrl.predictor, "tables", ())):
         violations += audit_pc_table(table, f"{subject} table[{i}]")
-    violations += audit_epoch_records(list(recorder.records), subject)
+    violations += audit_epoch_records(list(tracer.records), subject)
     return violations, subject
 
 

@@ -14,9 +14,10 @@ two implementations of the same computation:
 
 Each checker here runs both sides from the same inputs and diffs the
 outcomes field by field, producing a :class:`DiffReport` whose
-mismatches name the first quantity that diverged. With telemetry
+mismatches name the first quantity that diverged. With tracing
 enabled (``trace=True``, engine differential only) the checker also
-attaches per-epoch traces and reports the **first diverging epoch**, so
+attaches a tracer to each side and reports the **first diverging
+epoch**, so
 a regression points at a specific decision instead of a final number.
 
 These are config-driven (any workload/design/platform) and deliberately
@@ -36,17 +37,14 @@ from repro.dvfs.oracle import OracleSampler
 from repro.gpu.gpu import Gpu
 from repro.gpu.kernel import Kernel
 from repro.runtime.executor import SweepExecutor, SweepTask, run_task
-from repro.telemetry.recorder import EpochTraceRecorder, TelemetryConfig
+from repro.telemetry.schema import span_attrs
+from repro.obs.trace import Tracer
 
 #: RunResult fields excluded from bit-exact comparison: hot-path work
 #: counters measure *how* the engines computed, not *what* (the event
 #: engine exists to make them differ), and wall-clock profiling is
 #: inherently non-deterministic.
 DEFAULT_IGNORE_FIELDS = ("hotpath",)
-
-#: Telemetry record keys excluded from epoch-by-epoch comparison (wall
-#: time differs run to run; everything else must match bit for bit).
-_TRACE_IGNORE_KEYS = ("wall_s",)
 
 
 @dataclass(frozen=True)
@@ -137,17 +135,17 @@ def first_divergence(
     records_a: Sequence[Mapping[str, object]],
     records_b: Sequence[Mapping[str, object]],
 ) -> Optional[int]:
-    """Epoch index where two telemetry record streams first disagree.
+    """Epoch index where two trace streams first disagree.
 
-    Compares the ``epoch``/``domain`` records pairwise in stream order,
-    ignoring wall-clock keys. Returns None when the streams agree (a
-    divergence elsewhere - e.g. only in the summary - has no epoch).
+    Compares the ``epoch`` spans' attrs pairwise in stream order; the
+    spans' wall-clock fields (ids, start/end times) are not compared.
+    Returns None when the streams agree (a divergence elsewhere - e.g.
+    only in the run summary - has no epoch).
     """
-    payload_a = [r for r in records_a if r.get("type") in ("epoch", "domain")]
-    payload_b = [r for r in records_b if r.get("type") in ("epoch", "domain")]
+    payload_a = span_attrs(records_a, "epoch")
+    payload_b = span_attrs(records_b, "epoch")
     for ra, rb in zip(payload_a, payload_b):
-        keys = (set(ra) | set(rb)) - set(_TRACE_IGNORE_KEYS)
-        if any(ra.get(k) != rb.get(k) for k in keys):
+        if ra != rb:
             epoch = ra.get("epoch", rb.get("epoch"))
             return int(epoch) if isinstance(epoch, int) else None
     if len(payload_a) != len(payload_b):
@@ -169,32 +167,26 @@ def _with_engine(task: SweepTask, engine: str) -> SweepTask:
     return replace(task, config=cfg)
 
 
-def _recorder(task: SweepTask) -> EpochTraceRecorder:
-    n_domains = task.config.gpu.n_domains
-    ring = (task.max_epochs + 2) * (n_domains + 1)
-    return EpochTraceRecorder(TelemetryConfig(ring_size=ring))
-
-
 def engine_differential(task: SweepTask, trace: bool = False) -> DiffReport:
     """Run one cell under the event and reference engines and diff.
 
-    With ``trace=True`` both runs carry an epoch recorder and a
-    mismatch is localised to its first diverging epoch.
+    With ``trace=True`` both runs carry a tracer and a mismatch is
+    localised to its first diverging epoch.
     """
     sides = ("event", "reference")
-    rec_a = _recorder(task) if trace else None
-    rec_b = _recorder(task) if trace else None
-    result_a = run_task(_with_engine(task, "event"), recorder=rec_a)
-    result_b = run_task(_with_engine(task, "reference"), recorder=rec_b)
+    tr_a = Tracer(ring_size=0) if trace else None
+    tr_b = Tracer(ring_size=0) if trace else None
+    result_a = run_task(_with_engine(task, "event"), tracer=tr_a)
+    result_b = run_task(_with_engine(task, "reference"), tracer=tr_b)
     report = DiffReport(
         name="engine",
         subject=task.label,
         sides=sides,
         mismatches=diff_run_results(result_a, result_b),
     )
-    if not report.ok and rec_a is not None and rec_b is not None:
+    if not report.ok and tr_a is not None and tr_b is not None:
         report.first_diverging_epoch = first_divergence(
-            list(rec_a.records), list(rec_b.records)
+            list(tr_a.records), list(tr_b.records)
         )
     return report
 

@@ -4,7 +4,7 @@ The repo's headline numbers rest on physical invariants the unit tests
 never audit systematically: energy components are non-negative and sum
 to the breakdown total, per-epoch energies sum to the run's energy,
 simulation clocks advance monotonically, committed instructions are
-conserved between the per-epoch records and the run total, Figure 16
+conserved between the per-epoch spans and the run total, Figure 16
 residency fractions sum to 1 over the V/f grid, PC tables never report
 more hits than lookups, and a completed run's completion delay fits
 inside its simulated window. Each auditor here re-derives one of those
@@ -12,8 +12,8 @@ invariants from a finished artifact - a
 :class:`~repro.dvfs.simulation.RunResult`, an
 :class:`~repro.power.energy.EnergyBreakdown`, a
 :class:`~repro.core.controller.ControllerLog`, a
-:class:`~repro.core.pc_table.PCTable` or a telemetry JSONL record
-stream - and returns structured :class:`Violation` records instead of
+:class:`~repro.core.pc_table.PCTable` or a trace record stream -
+and returns structured :class:`Violation` records instead of
 raising, so ``repro check`` can collect everything that is wrong in one
 pass and route the counts into a
 :class:`~repro.telemetry.metrics.MetricsRegistry`.
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.schema import span_attrs
 
 #: Grid-matching slack (GHz), mirroring the oracle / controller snap
 #: tolerances: absorbs float noise, never bridges 100 MHz grid steps.
@@ -349,27 +350,27 @@ def audit_pc_table(table, subject: str = "") -> List[Violation]:
 def audit_epoch_records(
     records: Iterable[Mapping[str, object]], subject: str = ""
 ) -> List[Violation]:
-    """Audit a telemetry record stream (ring contents or loaded JSONL).
+    """Audit one run's trace stream (tracer ring or loaded JSONL).
 
-    Checks, across the ``run``/``epoch``/``domain``/``summary`` records
-    of one run:
+    Checks, across the ``run`` and ``epoch`` spans:
 
     * clocks: every epoch window has ``t_end >= t_start`` and windows
       never move backwards across epochs;
     * per-epoch energy is finite and non-negative, and the per-epoch
-      energies sum to the summary's ``energy_total``;
-    * committed counts are conserved: the epoch records sum to the
-      summary's ``total_committed``;
+      energies sum to the run's ``energy_total``;
+    * committed counts are conserved: the epoch spans sum to the run's
+      ``total_committed``;
     * PC-table deltas: per-epoch ``pc_hits <= pc_lookups``, none
       negative;
-    * domain records: chosen frequencies sit on the run header's grid,
+    * domain entries: chosen frequencies sit on the run's grid,
       relative errors are non-negative, commit counts non-negative;
-    * the summary's ``delay_ns`` fits in its ``elapsed_ns`` window for
+    * the run's ``delay_ns`` fits in its ``elapsed_ns`` window for
       completed runs.
 
-    Pre-summary streams (a run still in flight, or an old trace without
-    the conservation fields) skip the summary cross-checks.
+    A stream without a finished ``run`` span (a run still in flight)
+    skips the grid and summary cross-checks.
     """
+    records = list(records)
     out: List[Violation] = []
     grid: Optional[List[float]] = None
     last_t_end: Optional[float] = None
@@ -377,40 +378,37 @@ def audit_epoch_records(
     committed_sum = 0
     duration_sum = 0.0
     n_epochs = 0
-    summary: Optional[Mapping[str, object]] = None
+    runs = span_attrs(records, "run")
+    summary: Optional[Mapping[str, object]] = runs[0] if runs else None
+    if summary is not None:
+        freqs = summary.get("frequencies_ghz")
+        if isinstance(freqs, (list, tuple)):
+            grid = [float(f) for f in freqs]
+        if not subject:
+            subject = f"{summary.get('workload', '?')}/{summary.get('design', '?')}"
 
-    for rec in records:
-        rtype = rec.get("type")
-        if rtype == "run":
-            freqs = rec.get("frequencies_ghz")
-            if isinstance(freqs, (list, tuple)):
-                grid = [float(f) for f in freqs]
-            if not subject:
-                subject = f"{rec.get('workload', '?')}/{rec.get('design', '?')}"
-        elif rtype == "epoch":
-            n_epochs += 1
-            out.extend(_audit_epoch_record(rec, last_t_end, subject))
-            t_start = rec.get("t_start_ns")
-            t_end = rec.get("t_end_ns")
-            if isinstance(t_end, (int, float)) and math.isfinite(t_end):
-                last_t_end = float(t_end)
-            if (
-                isinstance(t_start, (int, float))
-                and isinstance(t_end, (int, float))
-                and math.isfinite(t_start)
-                and math.isfinite(t_end)
-            ):
-                duration_sum += t_end - t_start
-            energy = rec.get("energy")
-            if isinstance(energy, (int, float)) and math.isfinite(energy):
-                energy_sum += energy
-            committed = rec.get("committed")
-            if isinstance(committed, int):
-                committed_sum += committed
-        elif rtype == "domain":
-            out.extend(_audit_domain_record(rec, grid, subject))
-        elif rtype == "summary":
-            summary = rec
+    for rec in span_attrs(records, "epoch"):
+        n_epochs += 1
+        out.extend(_audit_epoch_record(rec, last_t_end, subject))
+        t_start = rec.get("t_start_ns")
+        t_end = rec.get("t_end_ns")
+        if isinstance(t_end, (int, float)) and math.isfinite(t_end):
+            last_t_end = float(t_end)
+        if (
+            isinstance(t_start, (int, float))
+            and isinstance(t_end, (int, float))
+            and math.isfinite(t_start)
+            and math.isfinite(t_end)
+        ):
+            duration_sum += t_end - t_start
+        energy = rec.get("energy")
+        if isinstance(energy, (int, float)) and math.isfinite(energy):
+            energy_sum += energy
+        committed = rec.get("committed")
+        if isinstance(committed, int):
+            committed_sum += committed
+        for dom in rec.get("domains", ()):
+            out.extend(_audit_domain_record(dom, grid, subject))
 
     if summary is not None:
         out.extend(
@@ -536,7 +534,7 @@ def _audit_summary_conservation(
                 "epoch_count_mismatch",
                 where,
                 f"summary says {epochs} epochs but the stream holds "
-                f"{n_epochs} epoch records",
+                f"{n_epochs} epoch spans",
                 observed=float(n_epochs),
                 expected=float(epochs),
             )
@@ -549,7 +547,7 @@ def _audit_summary_conservation(
                 Violation(
                     "committed_not_conserved",
                     where,
-                    f"epoch records sum to {committed_sum} committed "
+                    f"epoch spans sum to {committed_sum} committed "
                     f"instructions but the run total is {total_committed}",
                     observed=float(committed_sum),
                     expected=float(total_committed),

@@ -142,7 +142,9 @@ class TestCounterGate:
         path = (pathlib.Path(__file__).parent.parent / "benchmarks" / "baselines"
                 / "BENCH_post_change.json")
         baseline = load_bench_json(path)
-        report = run_benchmarks(quick=True, repeats=1)
+        # end_to_end times a fixed 40-epoch window of comd/PCSTALL.
+        with pytest.warns(RuntimeWarning, match="truncated at max_epochs=40"):
+            report = run_benchmarks(quick=True, repeats=1)
         assert set(report["results"]) == set(baseline["results"])
         cmp = compare_reports(report, baseline)
         assert cmp.counters_compared

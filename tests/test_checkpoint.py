@@ -20,8 +20,8 @@ CFG = small_config(n_cus=2, waves_per_cu=4)
 
 def make_task(workload="comd", design="STATIC@1.7"):
     return SweepTask(
-        workload=workload, design=design, config=CFG, scale=0.1,
-        max_epochs=60, oracle_sample_freqs=3,
+        workload=workload, design=design, config=CFG, scale=0.05,
+        max_epochs=150, oracle_sample_freqs=3,
     )
 
 

@@ -72,7 +72,7 @@ class TestCommands:
     def test_compare_small(self, capsys):
         rc = main([
             "compare", "xsbench", "--designs", "STATIC@1.7,STALL", "--cus", "2",
-            "--waves", "4", "--scale", "0.1", "--max-epochs", "50",
+            "--waves", "4", "--scale", "0.05", "--max-epochs", "150",
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -91,7 +91,7 @@ class TestCommands:
     def test_cap_objective_parse(self):
         rc = main([
             "run", "xsbench", "--design", "PCSTALL", "--cus", "2", "--waves", "4",
-            "--scale", "0.1", "--max-epochs", "40", "--objective", "cap5",
+            "--scale", "0.05", "--max-epochs", "150", "--objective", "cap5",
         ])
         assert rc == 0
 
@@ -99,7 +99,7 @@ class TestCommands:
 class TestFaultTolerantSweeps:
     FIGURE = [
         "figure", "fig14", "--workloads", "comd", "--designs", "STALL",
-        "--cus", "2", "--waves", "4", "--scale", "0.1", "--max-epochs", "40",
+        "--cus", "2", "--waves", "4", "--scale", "0.1", "--max-epochs", "60",
     ]
 
     def test_figure_resume_round_trip(self, capsys, tmp_path):
@@ -129,7 +129,7 @@ class TestFaultTolerantSweeps:
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
         rc = main([
             "run", "comd", "--design", "STATIC@1.7", "--cus", "2", "--waves", "4",
-            "--scale", "0.1", "--max-epochs", "40", "--no-cache",
+            "--scale", "0.1", "--max-epochs", "60", "--no-cache",
         ])
         assert rc == 0
         out = capsys.readouterr().out

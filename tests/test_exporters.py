@@ -3,7 +3,7 @@
 The exported JSON must satisfy the viewer contract (required
 ``ph``/``ts``/``pid``/``name`` fields, non-negative durations, monotone
 per-track timestamps, matched ``B``/``E`` pairs) - pinned here both for
-real exports (epoch records, span records, alerts) and for
+real exports (epoch spans' decision digest, span timelines, alerts) and for
 :func:`~repro.telemetry.exporters.validate_trace_events` itself, which
 CI runs over uploaded artifacts.
 """
@@ -18,8 +18,7 @@ from repro.config import small_config
 from repro.obs import Tracer
 from repro.runtime.executor import SweepTask, run_task
 from repro.telemetry import (
-    EpochTraceRecorder,
-    TelemetryConfig,
+    TRACE_SCHEMA_VERSION,
     perfetto_trace,
     save_perfetto_json,
     validate_trace_events,
@@ -27,24 +26,24 @@ from repro.telemetry import (
 )
 
 
-def record_small_run(tracer=None, max_epochs=6):
+def record_small_run():
+    """A completed dgemm/PCSTALL run's trace records."""
     task = SweepTask(
         "dgemm",
         "PCSTALL",
         small_config(n_cus=2, waves_per_cu=4),
         scale=0.12,
-        max_epochs=max_epochs,
+        max_epochs=40,
         oracle_sample_freqs=3,
         collect_accuracy=True,
     )
-    recorder = EpochTraceRecorder(TelemetryConfig(ring_size=4096))
-    with recorder:
-        run_task(task, recorder=recorder, tracer=tracer)
-    return recorder
+    tracer = Tracer(ring_size=0)
+    assert run_task(task, tracer=tracer).completed
+    return list(tracer.records)
 
 
 SPAN_RECORDS = [
-    {"type": "trace", "trace_id": "t1", "schema_version": 1,
+    {"type": "trace", "trace_id": "t1", "schema_version": TRACE_SCHEMA_VERSION,
      "repro_version": "0"},
     {"type": "span", "trace_id": "t1", "span_id": "1", "parent_id": "",
      "name": "sweep", "t_start_ns": 1_000_000, "t_end_ns": 9_000_000,
@@ -62,16 +61,14 @@ SPAN_RECORDS = [
 
 class TestEpochExport:
     def test_real_export_passes_the_contract(self):
-        recorder = record_small_run()
-        trace = perfetto_trace(recorder.records)
+        trace = perfetto_trace(record_small_run())
         counts = validate_trace_events(trace["traceEvents"])
         assert counts["M"] >= 3  # process + one thread per domain
         assert counts["X"] > 0 and counts["C"] > 0
         assert trace["otherData"]["workload"] == "dgemm"
 
     def test_domain_slices_carry_decision_args(self):
-        recorder = record_small_run()
-        trace = perfetto_trace(recorder.records)
+        trace = perfetto_trace(record_small_run())
         slices = [e for e in trace["traceEvents"]
                   if e["ph"] == "X" and e.get("cat") == "epoch"]
         assert slices
@@ -82,9 +79,8 @@ class TestEpochExport:
             assert "rel_error" in event["args"]
 
     def test_save_round_trips_through_file_validator(self, tmp_path):
-        recorder = record_small_run()
         path = tmp_path / "trace.json"
-        n = save_perfetto_json(recorder.records, path)
+        n = save_perfetto_json(record_small_run(), path)
         counts = validate_trace_json(path)
         assert sum(counts.values()) == n
 
@@ -120,17 +116,20 @@ class TestSpanExport:
         assert instant["args"]["value"] == 0.8
 
     def test_merged_epoch_and_span_streams_validate(self, tmp_path):
-        tracer = Tracer(ring_size=0)
-        recorder = record_small_run(tracer=tracer)
-        merged = list(recorder.records) + list(tracer.records)
+        """One trace renders both the sim-clock epoch tracks and the
+        wall-clock span timeline, and the two validate together."""
         path = tmp_path / "merged.json"
-        save_perfetto_json(merged, path)
+        save_perfetto_json(record_small_run(), path)
         counts = validate_trace_json(path)
+        events = json.loads(path.read_text())["traceEvents"]
         run_spans = [
-            e for e in json.loads(path.read_text())["traceEvents"]
-            if e.get("cat") == "span" and e["name"] == "run"
+            e for e in events if e.get("cat") == "span" and e["name"] == "run"
         ]
         assert len(run_spans) == 1
+        # Span args keep the scalars; the digest renders on epoch tracks.
+        assert run_spans[0]["args"]["workload"] == "dgemm"
+        assert "pc" not in run_spans[0]["args"]
+        assert any(e.get("cat") == "epoch" for e in events)
         assert counts["X"] > counts["M"]
 
 

@@ -25,8 +25,8 @@ CFG = small_config(n_cus=2, waves_per_cu=4)
 
 
 def make_task(workload="comd", design="STATIC@1.7", **kw):
-    kw.setdefault("scale", 0.1)
-    kw.setdefault("max_epochs", 60)
+    kw.setdefault("scale", 0.05)
+    kw.setdefault("max_epochs", 150)
     return SweepTask(
         workload=workload, design=design, config=CFG,
         oracle_sample_freqs=3, **kw

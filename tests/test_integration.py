@@ -32,7 +32,7 @@ def run_design(cfg, design, wl="BwdBN", scale=0.2, collect_accuracy=False):
     kernels = build_workload(workload(wl), scale=scale)
     ctrl = make_controller(design, cfg, EDnPObjective(2))
     return DvfsSimulation(
-        kernels, ctrl, cfg, design_name=design, max_epochs=300,
+        kernels, ctrl, cfg, design_name=design, max_epochs=600,
         oracle_sample_freqs=4, collect_accuracy=collect_accuracy,
     ).run()
 

@@ -52,7 +52,8 @@ from repro.learn import (
 )
 from repro.learn.registry import MODEL_DIR_ENV, artifact_id_of
 from repro.runtime.executor import SweepTask, run_task
-from repro.telemetry import EpochTraceRecorder, TelemetryConfig, load_trace_jsonl
+from repro.obs import Tracer
+from repro.telemetry import load_trace_jsonl, span_attrs
 from repro.workloads import build_workload, workload
 
 from helpers import make_loop_program
@@ -65,17 +66,11 @@ from helpers import make_loop_program
 def record_observation_trace(path, design="PCSTALL", workload_name="dgemm",
                              max_epochs=40):
     config = small_config(n_cus=2, waves_per_cu=4)
-    recorder = EpochTraceRecorder(TelemetryConfig(
-        ring_size=0,
-        jsonl_path=str(path),
-        record_pc_attribution=False,
-        record_observations=True,
-    ))
     task = SweepTask(workload_name, design, config, scale=0.15,
                      max_epochs=max_epochs, oracle_sample_freqs=3,
                      collect_accuracy=True)
-    with recorder:
-        result = run_task(task, recorder=recorder)
+    with Tracer(jsonl_path=str(path), observations=True) as tracer:
+        result = run_task(task, tracer=tracer)
     return str(path), result
 
 
@@ -158,16 +153,17 @@ class TestDataset:
             load_dataset(tmp_path / "ds")
 
     def test_trace_without_observations_rejected(self, trace_path):
-        records = [r for r in load_trace_jsonl(trace_path)
-                   if r.get("type") != "observation"]
+        records = load_trace_jsonl(trace_path)
+        for r in records:
+            r.get("attrs", {}).pop("observation", None)
         with pytest.raises(DatasetError, match="observation"):
             extract_rows(records, source="stripped")
 
     def test_labels_are_next_epoch_truth(self, trace_path, dataset):
         """Row (epoch e, domain d) is labelled with epoch e+1's truth."""
         observations = {
-            int(r["epoch"]): r for r in load_trace_jsonl(trace_path)
-            if r.get("type") == "observation"
+            int(a["epoch"]): a["observation"]
+            for a in span_attrs(load_trace_jsonl(trace_path), "epoch")
         }
         row = 0  # first extracted row: first epoch pair, domain 0
         epoch = int(dataset.epoch[row])

@@ -43,7 +43,7 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.schema import validate_records
 
 
-def small_task(design="PCSTALL", workload="dgemm", max_epochs=6):
+def small_task(design="PCSTALL", workload="dgemm", max_epochs=40):
     return SweepTask(
         workload,
         design,
@@ -97,6 +97,15 @@ class TestTracer:
         assert tr.total_spans == 10
         assert tr.dropped > 0
 
+    def test_every_ring_eviction_is_counted(self):
+        """A non-span record (an alert) that evicts from a full ring -
+        here the stream header - counts as dropped like any other."""
+        tr = Tracer(ring_size=2)
+        tr.finish(tr.start("s"))
+        tr.emit({"type": "alert", "signal": "rel_error", "kind": "alert"})
+        assert [r["type"] for r in tr.records] == ["span", "alert"]
+        assert tr.dropped == 1
+
     def test_event_is_zero_or_positive_duration(self):
         tr = Tracer(ring_size=0)
         span = tr.event("alert", signal="rel_error")
@@ -105,8 +114,8 @@ class TestTracer:
     def test_header_and_jsonl_sink_validate(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         with Tracer(ring_size=0, jsonl_path=str(path)) as tr:
-            with tr.span("run"):
-                tr.finish(tr.start("epoch", epoch=0))
+            with tr.span("cell"):
+                tr.finish(tr.start("step", step=0))
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[0]["type"] == "trace"
         assert records[0]["trace_id"] == tr.trace_id
@@ -302,6 +311,21 @@ class TestDrift:
         assert monitor.mean("retry_rate") == 0.0
         assert [a.signal for a in monitor.alerts] == ["shed_rate"]
 
+    def test_observe_trace_feeds_scored_errors_in_order(self):
+        """Every scored domain's rel_error, epoch then domain order;
+        unscored domains and other spans feed nothing."""
+        def epoch(*errs):
+            return {"type": "span", "name": "epoch",
+                    "attrs": {"domains": [{"rel_error": e} for e in errs]}}
+
+        records = [epoch(0.9, None), {"type": "span", "name": "oracle_sample"},
+                   epoch(0.1, 0.2)]
+        monitor = DriftMonitor()
+        seen = []
+        monitor.observe_error = seen.append
+        monitor.observe_trace(records)
+        assert seen == [0.9, 0.1, 0.2]
+
     def test_alert_fans_out_to_every_sink(self, tmp_path):
         """The acceptance scenario: synthetic accuracy degradation must
         surface in the span JSONL, the registry, and ``repro monitor``'s
@@ -426,18 +450,23 @@ class TestPrometheus:
 class TestMonitor:
     def test_interval_summary_dispatch_and_render(self):
         summary = IntervalSummary()
-        summary.add({"type": "epoch", "epoch": 0})
-        summary.add({"type": "domain", "rel_error": 0.5, "mispredicted": True})
-        summary.add({"type": "domain", "rel_error": 0.1, "mispredicted": False})
+        summary.add({"type": "span", "name": "epoch",
+                     "t_start_ns": 0, "t_end_ns": 1_000_000,
+                     "attrs": {"epoch": 0, "observation": {"result": {}},
+                               "domains": [
+                                   {"rel_error": 0.5, "mispredicted": True},
+                                   {"rel_error": 0.1, "mispredicted": False},
+                               ]}})
         summary.add({"type": "span", "name": "run",
                      "t_start_ns": 0, "t_end_ns": 2_000_000})
         summary.add({"type": "alert", "signal": "rel_error", "kind": "alert"})
         summary.add({"type": "alert", "signal": "rel_error",
                      "kind": "recovered"})
-        summary.add({"type": "observation"})
         line = summary.render("12:00:00")
-        assert line.startswith("[12:00:00] records=7")
+        assert line.startswith("[12:00:00] records=4")
         assert "epochs=1" in line
+        assert "spans=2" in line
+        assert summary.domains == 2 and summary.observations == 1
         assert "err=0.300" in line
         assert "miss=1/2" in line
         assert "ALERTS=1(rel_error)" in line
@@ -578,16 +607,10 @@ class TestTracedService:
     def test_traced_serving_is_bit_identical_and_scrapeable(self, tmp_path):
         from repro.service.replay import replay_trace
         from repro.service.server import DecisionService, ServiceConfig
-        from repro.telemetry import EpochTraceRecorder, TelemetryConfig
-
         trace_path = tmp_path / "offline.jsonl"
-        recorder = EpochTraceRecorder(TelemetryConfig(
-            ring_size=0, jsonl_path=str(trace_path),
-            record_pc_attribution=False, record_observations=True,
-        ))
         task = small_task(max_epochs=20)
-        with recorder:
-            run_task(task, recorder=recorder)
+        with Tracer(jsonl_path=str(trace_path), observations=True) as offline:
+            run_task(task, tracer=offline)
 
         registry = MetricsRegistry()
         tracer = Tracer(ring_size=0, registry=registry)
@@ -672,13 +695,13 @@ class TestObsCli:
     def test_trace_cli_spans_and_drift(self, tmp_path, capsys):
         from repro.cli import main
 
-        spans = tmp_path / "spans.jsonl"
+        spans = tmp_path / "trace.jsonl"
         perfetto = tmp_path / "trace.json"
         rc = main([
             "trace", "dgemm", "--design", "PCSTALL",
             "--cus", "2", "--waves", "4", "--scale", "0.12",
-            "--max-epochs", "6", "--no-cache",
-            "--spans", str(spans), "--drift", "--perfetto", str(perfetto),
+            "--max-epochs", "40", "--no-cache",
+            "--jsonl", str(spans), "--drift", "--perfetto", str(perfetto),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -686,9 +709,10 @@ class TestObsCli:
 
         records = [json.loads(line)
                    for line in spans.read_text().splitlines()]
-        validate_records(records)
-        assert any(r["type"] == "span" and r["name"] == "run"
-                   for r in records)
+        counts = validate_records(records)
+        assert counts["trace"] == 1
+        names = {r["name"] for r in records if r["type"] == "span"}
+        assert {"run", "epoch", "oracle_sample"} <= names
 
         from repro.telemetry import validate_trace_json
 

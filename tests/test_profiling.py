@@ -130,7 +130,7 @@ class TestTraceIo:
         cfg = small_config(n_cus=2, waves_per_cu=4)
         ks = [Kernel.homogeneous(make_loop_program(trips=500), WorkgroupGeometry(4, 2))]
         r = DvfsSimulation(
-            ks, make_controller("STALL", cfg), cfg, max_epochs=30,
+            ks, make_controller("STALL", cfg), cfg, max_epochs=100,
             oracle_sample_freqs=3,
         ).run()
         path = tmp_path / "run.json"
@@ -140,11 +140,14 @@ class TestTraceIo:
 
 
 class TestCli:
+    """``repro profile --hotpath`` profiles a fixed 10-epoch window."""
+
     def test_profile_hotpath_prints_counters(self, capsys):
-        rc = main([
-            "profile", "comd", "--hotpath", "--cus", "2", "--waves", "4",
-            "--scale", "0.1", "--max-epochs", "10",
-        ])
+        with pytest.warns(RuntimeWarning, match="truncated"):
+            rc = main([
+                "profile", "comd", "--hotpath", "--cus", "2", "--waves", "4",
+                "--scale", "0.1", "--max-epochs", "10",
+            ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "hot-path counters" in out
@@ -153,11 +156,12 @@ class TestCli:
     def test_profile_hotpath_json_and_cprofile(self, capsys, tmp_path):
         counters = tmp_path / "hot.json"
         stats = tmp_path / "prof.pstats"
-        rc = main([
-            "profile", "comd", "--hotpath", "--cus", "2", "--waves", "4",
-            "--scale", "0.1", "--max-epochs", "10", "--engine", "reference",
-            "--json", str(counters), "--cprofile", str(stats),
-        ])
+        with pytest.warns(RuntimeWarning, match="truncated"):
+            rc = main([
+                "profile", "comd", "--hotpath", "--cus", "2", "--waves", "4",
+                "--scale", "0.1", "--max-epochs", "10", "--engine", "reference",
+                "--json", str(counters), "--cprofile", str(stats),
+            ])
         assert rc == 0
         assert stats.exists()
         data = json.loads(counters.read_text())
@@ -168,10 +172,11 @@ class TestCli:
         scans = {}
         for engine in ("event", "reference"):
             path = tmp_path / f"{engine}.json"
-            assert main([
-                "profile", "comd", "--hotpath", "--cus", "2", "--waves", "4",
-                "--scale", "0.1", "--max-epochs", "10", "--engine", engine,
-                "--json", str(path),
-            ]) == 0
+            with pytest.warns(RuntimeWarning, match="truncated"):
+                assert main([
+                    "profile", "comd", "--hotpath", "--cus", "2", "--waves", "4",
+                    "--scale", "0.1", "--max-epochs", "10", "--engine", engine,
+                    "--json", str(path),
+                ]) == 0
             scans[engine] = json.loads(path.read_text())["hotpath"]["waves_scanned"]
         assert scans["reference"] > scans["event"]

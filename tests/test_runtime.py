@@ -23,7 +23,7 @@ from repro.runtime.progress import SOURCE_CACHE, CellRecord, SweepInstrumentatio
 CFG = small_config(n_cus=2, waves_per_cu=4)
 
 
-def make_task(workload="comd", design="STATIC@1.7", scale=0.1, max_epochs=60, **kw):
+def make_task(workload="comd", design="STATIC@1.7", scale=0.05, max_epochs=150, **kw):
     return SweepTask(
         workload=workload, design=design, config=CFG, scale=scale,
         max_epochs=max_epochs, oracle_sample_freqs=3, **kw
@@ -46,14 +46,14 @@ class TestCacheKey:
         assert make_task(workload="xsbench").key() != base
         assert make_task(design="STALL").key() != base
         assert make_task(scale=0.2).key() != base
-        assert make_task(max_epochs=61).key() != base
+        assert make_task(max_epochs=151).key() != base
         assert make_task(collect_accuracy=True).key() != base
 
     def test_config_change_changes_key(self):
         cfg2 = dataclasses.replace(
             CFG, dvfs=dataclasses.replace(CFG.dvfs, epoch_ns=2000.0)
         )
-        changed = SweepTask("comd", "STATIC@1.7", cfg2, scale=0.1, max_epochs=60,
+        changed = SweepTask("comd", "STATIC@1.7", cfg2, scale=0.05, max_epochs=150,
                             oracle_sample_freqs=3)
         assert changed.key() != make_task().key()
 

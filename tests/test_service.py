@@ -21,6 +21,13 @@ import pytest
 
 from repro.config import small_config
 from repro.runtime.cache import config_hash
+from repro.runtime.wire import (
+    ProtocolError,
+    decode_payload,
+    encode_frame,
+    recv_frame,
+    send_frame,
+)
 from repro.runtime.executor import RetryPolicy, SweepTask, run_task
 from repro.service import protocol as proto
 from repro.service.client import (
@@ -32,7 +39,8 @@ from repro.service.client import (
 )
 from repro.service.replay import load_replay_trace, replay_trace
 from repro.service.server import DecisionService, ServiceConfig
-from repro.telemetry import EpochTraceRecorder, TelemetryConfig, validate_trace_file
+from repro.obs import Tracer
+from repro.telemetry import span_attrs, validate_trace_file
 
 
 # ----------------------------------------------------------------------
@@ -92,17 +100,11 @@ def server():
 def record_trace(path, design="PCSTALL", workload="dgemm", max_epochs=40):
     """Record a small replayable trace; returns (path, offline RunResult)."""
     config = small_config(n_cus=2, waves_per_cu=4)
-    recorder = EpochTraceRecorder(TelemetryConfig(
-        ring_size=0,
-        jsonl_path=str(path),
-        record_pc_attribution=False,
-        record_observations=True,
-    ))
     task = SweepTask(workload, design, config, scale=0.15,
                      max_epochs=max_epochs, oracle_sample_freqs=3,
                      collect_accuracy=True)
-    with recorder:
-        result = run_task(task, recorder=recorder)
+    with Tracer(jsonl_path=str(path), observations=True) as tracer:
+        result = run_task(task, tracer=tracer)
     return str(path), result
 
 
@@ -116,14 +118,14 @@ def open_raw_session(port, trace):
     """A raw socket session (bypasses DecisionClient's conveniences)."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=30)
     sock.settimeout(30)
-    proto.send_frame(sock, {
+    send_frame(sock, {
         "type": "open",
         "protocol": proto.PROTOCOL_VERSION,
         "design": trace.design,
         "config": trace.sim_config_wire,
         "objective": trace.objective,
     })
-    reply = proto.recv_frame(sock)
+    reply = recv_frame(sock)
     assert reply is not None and reply["type"] == "open_ok", reply
     return sock, reply
 
@@ -133,17 +135,17 @@ def open_raw_session(port, trace):
 
 def test_frame_round_trip():
     message = {"type": "ping", "x": [1.5, -2.25e-17], "s": "επω"}
-    frame = proto.encode_frame(message)
+    frame = encode_frame(message)
     (length,) = struct.unpack(">I", frame[:4])
     assert length == len(frame) - 4
-    assert proto.decode_payload(frame[4:]) == message
+    assert decode_payload(frame[4:]) == message
 
 
 def test_frame_rejects_non_object_payload():
-    with pytest.raises(proto.ProtocolError):
-        proto.decode_payload(b"[1, 2, 3]")
-    with pytest.raises(proto.ProtocolError):
-        proto.decode_payload(b"not json")
+    with pytest.raises(ProtocolError):
+        decode_payload(b"[1, 2, 3]")
+    with pytest.raises(ProtocolError):
+        decode_payload(b"not json")
 
 
 def test_epoch_result_wire_round_trip(pcstall_trace):
@@ -175,7 +177,7 @@ def test_sim_config_from_wire_rejects_unknown_fields():
 
     wire = sim_config_to_wire(small_config(n_cus=2, waves_per_cu=4))
     wire["gpu"]["from_the_future"] = 1
-    with pytest.raises(proto.ProtocolError):
+    with pytest.raises(ProtocolError):
         proto.sim_config_from_wire(wire)
 
 
@@ -198,47 +200,46 @@ def test_objective_from_name(name, expect):
 
 
 def test_objective_from_name_rejects_garbage():
-    with pytest.raises(proto.ProtocolError):
+    with pytest.raises(ProtocolError):
         proto.objective_from_name("MAXIMIZE_VIBES")
 
 
 # ----------------------------------------------------------------------
 # Trace recording (the telemetry side of the contract)
 
-def test_observation_records_validate_and_stay_out_of_ring(tmp_path):
+def test_observation_attrs_validate(tmp_path):
     path = tmp_path / "obs.jsonl"
     config = small_config(n_cus=2, waves_per_cu=4)
-    recorder = EpochTraceRecorder(TelemetryConfig(
-        ring_size=4096, jsonl_path=str(path), record_observations=True,
-    ))
-    task = SweepTask("dgemm", "PCSTALL", config, scale=0.15, max_epochs=10,
+    task = SweepTask("dgemm", "PCSTALL", config, scale=0.15, max_epochs=40,
                      oracle_sample_freqs=3, collect_accuracy=True)
-    with recorder:
-        run_task(task, recorder=recorder)
+    with Tracer(ring_size=4096, jsonl_path=str(path), observations=True) as tracer:
+        result = run_task(task, tracer=tracer)
 
     counts = validate_trace_file(path)
-    assert counts["observation"] == counts["epoch"]
-    assert counts["run"] == 1
-    # Observations are stream-only: none in the ring, none counted.
-    assert not any(r["type"] == "observation" for r in recorder.records)
-    assert recorder.dropped == 0
+    assert counts["trace"] == 1
+    epochs = span_attrs(tracer.records, "epoch")
+    assert len(epochs) == result.epochs
+    assert all(attrs["observation"]["truth"] for attrs in epochs)
+    (run,) = span_attrs(tracer.records, "run")
+    assert run["sim_config"]
+    assert tracer.dropped == 0
 
 
 def test_record_observations_requires_jsonl():
-    with pytest.raises(ValueError, match="jsonl_path"):
-        TelemetryConfig(record_observations=True)
+    from repro.cli import main
+
+    with pytest.raises(SystemExit, match="--jsonl"):
+        main(["trace", "dgemm", "--cus", "2", "--waves", "4",
+              "--scale", "0.15", "--observations"])
 
 
 def test_load_replay_trace_needs_observations(tmp_path):
     path = tmp_path / "plain.jsonl"
     config = small_config(n_cus=2, waves_per_cu=4)
-    recorder = EpochTraceRecorder(TelemetryConfig(
-        ring_size=0, jsonl_path=str(path), record_pc_attribution=False,
-    ))
-    task = SweepTask("dgemm", "PCSTALL", config, scale=0.15, max_epochs=5,
+    task = SweepTask("dgemm", "PCSTALL", config, scale=0.15, max_epochs=40,
                      oracle_sample_freqs=3, collect_accuracy=True)
-    with recorder:
-        run_task(task, recorder=recorder)
+    with Tracer(jsonl_path=str(path)) as tracer:
+        run_task(task, tracer=tracer)
     with pytest.raises(ValueError, match="--observations"):
         load_replay_trace(str(path))
 
@@ -363,9 +364,9 @@ def test_abrupt_disconnect_leaves_server_serving(server, pcstall_trace):
     sock, _ = open_raw_session(server.port, trace)
     for epoch in range(3):
         obs = trace.observations[epoch]
-        proto.send_frame(sock, {"type": "observe", "seq": epoch, "epoch": epoch,
+        send_frame(sock, {"type": "observe", "seq": epoch, "epoch": epoch,
                                 "result": obs["result"], "truth": obs["truth"]})
-        reply = proto.recv_frame(sock)
+        reply = recv_frame(sock)
         assert reply is not None and reply["type"] == "decision"
     sock.close()  # vanish mid-session, no goodbye
 
@@ -394,7 +395,7 @@ def test_slow_consumer_is_shed_then_recovers_bit_identical(pcstall_trace):
         # them from its buffer without yielding to the batch worker, so
         # everything past the inflight cap is deterministically shed.
         burst = b"".join(
-            proto.encode_frame({
+            encode_frame({
                 "type": "observe", "seq": epoch, "epoch": epoch,
                 "result": trace.observations[epoch]["result"],
                 "truth": trace.observations[epoch]["truth"],
@@ -410,7 +411,7 @@ def test_slow_consumer_is_shed_then_recovers_bit_identical(pcstall_trace):
         # epochs both just need an in-order resend.
         shed, resend, decided = set(), set(), set()
         for _ in range(n_epochs):
-            reply = proto.recv_frame(sock)
+            reply = recv_frame(sock)
             assert reply is not None
             if reply["type"] == "shed":
                 shed.add(reply["seq"])
@@ -430,11 +431,11 @@ def test_slow_consumer_is_shed_then_recovers_bit_identical(pcstall_trace):
         for epoch in sorted(resend):
             for attempt in range(50):
                 obs = trace.observations[epoch]
-                proto.send_frame(sock, {
+                send_frame(sock, {
                     "type": "observe", "seq": 1000 + epoch, "epoch": epoch,
                     "result": obs["result"], "truth": obs["truth"],
                 })
-                reply = proto.recv_frame(sock)
+                reply = recv_frame(sock)
                 assert reply is not None
                 if reply["type"] == "shed":
                     time.sleep(0.01)
@@ -465,23 +466,23 @@ def test_graceful_shutdown_drains_and_notifies(pcstall_trace):
         sock, _ = open_raw_session(handle.port, trace)
         for epoch in range(3):
             obs = trace.observations[epoch]
-            proto.send_frame(sock, {"type": "observe", "seq": epoch,
+            send_frame(sock, {"type": "observe", "seq": epoch,
                                     "epoch": epoch, "result": obs["result"],
                                     "truth": obs["truth"]})
-            reply = proto.recv_frame(sock)
+            reply = recv_frame(sock)
             assert reply is not None and reply["type"] == "decision"
 
         # One more observation in flight while shutdown runs: depending
         # on timing it is decided (drained), shed as draining, or beaten
         # by the shutdown notice - all legal; a hang is not.
         obs = trace.observations[3]
-        proto.send_frame(sock, {"type": "observe", "seq": 3, "epoch": 3,
+        send_frame(sock, {"type": "observe", "seq": 3, "epoch": 3,
                                 "result": obs["result"], "truth": obs["truth"]})
         handle.shutdown()
 
         saw_shutdown = False
         while True:
-            reply = proto.recv_frame(sock)
+            reply = recv_frame(sock)
             if reply is None:
                 break
             if reply["type"] == "decision":

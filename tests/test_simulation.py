@@ -25,10 +25,10 @@ def kernels(trips=1500, n=1):
     ]
 
 
-def run(cfg, design, ks=None, **kw):
+def run(cfg, design, ks=None, max_epochs=300, **kw):
     ctrl = make_controller(design, cfg, EDnPObjective(2))
     sim = DvfsSimulation(ks or kernels(), ctrl, cfg, design_name=design,
-                         max_epochs=300, oracle_sample_freqs=4, **kw)
+                         max_epochs=max_epochs, oracle_sample_freqs=4, **kw)
     return sim.run()
 
 
@@ -53,7 +53,8 @@ class TestBasicRuns:
 
     def test_multi_kernel_workload(self, cfg):
         single = run(cfg, "STATIC@1.7", ks=kernels(n=1))
-        double = run(cfg, "STATIC@1.7", ks=kernels(n=2))
+        double = run(cfg, "STATIC@1.7", ks=kernels(n=2), max_epochs=600)
+        assert single.completed and double.completed
         assert double.epochs > single.epochs
 
     def test_empty_kernel_list_rejected(self, cfg):

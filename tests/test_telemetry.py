@@ -1,9 +1,9 @@
-"""Telemetry subsystem: metrics, epoch recorder, exporters, accuracy.
+"""Telemetry subsystem: metrics, epoch digest on spans, exporters, accuracy.
 
 The two contracts that matter most are pinned here:
 
-* **Off means off** - a simulation without a recorder produces
-  bit-identical results to one with a recorder attached, and never
+* **Off means off** - a simulation without a tracer produces
+  bit-identical results to one with a tracer attached, and never
   allocates a telemetry object (enforced by poisoning the constructors).
 * **Mergeable** - registries merged from split runs equal a single
   run's registry, the property the parallel sweep runtime relies on.
@@ -16,15 +16,15 @@ import pytest
 from repro.config import small_config
 from repro.dvfs.designs import make_controller
 from repro.dvfs.simulation import DvfsSimulation
+from repro.obs import Tracer
 from repro.telemetry import (
     TRACE_SCHEMA_VERSION,
     AccuracyReport,
     Counter,
-    EpochTraceRecorder,
     Gauge,
     Histogram,
     MetricsRegistry,
-    TelemetryConfig,
+    RunDigest,
     build_meta,
     check_meta,
     load_trace_jsonl,
@@ -32,6 +32,8 @@ from repro.telemetry import (
     percentile,
     perfetto_trace,
     save_perfetto_json,
+    span_attrs,
+    trace_meta,
     validate_records,
     validate_trace_file,
 )
@@ -43,25 +45,29 @@ CFG = small_config(n_cus=2, waves_per_cu=4)
 N_DOMAINS = CFG.gpu.n_domains
 
 
-def run_sim(telemetry=None, design="PCSTALL", name="dgemm", max_epochs=40):
+def run_sim(tracer=None, design="PCSTALL", name="dgemm", max_epochs=40):
     kernels = build_workload(workload(name), scale=0.15)
     ctrl = make_controller(design, CFG)
     sim = DvfsSimulation(
         kernels, ctrl, CFG, design_name=design, workload_name=name,
         collect_accuracy=True, max_epochs=max_epochs, oracle_sample_freqs=3,
-        telemetry=telemetry,
+        tracer=tracer,
     )
     return sim.run()
 
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    """One PCSTALL run recorded to ring + JSONL."""
-    path = tmp_path_factory.mktemp("telemetry") / "epochs.jsonl"
-    rec = EpochTraceRecorder(TelemetryConfig(jsonl_path=str(path)))
-    result = run_sim(telemetry=rec)
-    rec.close()
-    return rec, result, path
+    """One PCSTALL run traced to ring + JSONL, spans counted."""
+    path = tmp_path_factory.mktemp("telemetry") / "trace.jsonl"
+    registry = MetricsRegistry()
+    with Tracer(ring_size=0, jsonl_path=str(path), registry=registry) as tr:
+        result = run_sim(tracer=tr)
+    return tr, result, path
+
+
+def domains_of(records):
+    return [d for attrs in span_attrs(records, "epoch") for d in attrs["domains"]]
 
 
 class TestMetrics:
@@ -131,35 +137,40 @@ class TestMetrics:
 
 
 class TestRecorder:
+    """The per-epoch decision digest, recorded on the run/epoch spans."""
+
     def test_record_stream_shape(self, recorded):
-        rec, result, _ = recorded
-        counts = validate_records(list(rec.records) + rec.final_records)
-        assert counts["run"] == 1
-        assert counts["epoch"] == result.epochs
-        assert counts["domain"] == result.epochs * N_DOMAINS
-        assert counts["summary"] == 1
-        assert counts["pc"] >= 1  # PCSTALL attributes error to PCs
+        tr, result, _ = recorded
+        assert result.completed
+        counts = validate_records(tr.records)
+        assert counts["trace"] == 1
+        assert len(span_attrs(tr.records, "epoch")) == result.epochs
+        assert len(domains_of(tr.records)) == result.epochs * N_DOMAINS
+        (run,) = span_attrs(tr.records, "run")
+        assert run["epochs"] == result.epochs
+        assert run["pc"]  # PCSTALL attributes error to PCs
 
     def test_jsonl_stream_validates_and_matches_ring(self, recorded):
-        rec, result, path = recorded
+        tr, result, path = recorded
         counts = validate_trace_file(path)
-        assert counts["epoch"] == result.epochs
-        assert counts["domain"] == result.epochs * N_DOMAINS
+        assert counts["span"] == len(tr.records) - 1
         records = load_trace_jsonl(path)
-        assert records[0]["type"] == "run"
-        assert records[-1]["type"] == "summary"
+        assert records == json.loads(json.dumps(list(tr.records)))
+        assert records[0]["type"] == "trace"
+        # The run span finishes after its epochs and the summary.
+        assert records[-1]["name"] == "run"
 
     def test_run_header_meta(self, recorded):
-        rec, _, _ = recorded
-        meta = check_meta(rec.meta)
+        tr, _, _ = recorded
+        meta = check_meta(trace_meta(tr.records))
         assert meta["schema_version"] == TRACE_SCHEMA_VERSION
         assert meta["config_hash"]
         assert meta["engine"] == CFG.gpu.engine
         assert meta["workload"] == "dgemm"
 
     def test_domain_records_score_against_oracle(self, recorded):
-        rec, _, _ = recorded
-        domains = rec.domain_records()
+        tr, _, _ = recorded
+        domains = domains_of(tr.records)
         scored = [r for r in domains if r["rel_error"] is not None]
         assert scored, "PCSTALL must make scorable predictions"
         assert all(r["rel_error"] >= 0.0 for r in scored)
@@ -171,17 +182,17 @@ class TestRecorder:
             )
 
     def test_stall_breakdown_partitions_epoch(self, recorded):
-        rec, _, _ = recorded
+        tr, _, _ = recorded
         per = CFG.gpu.cus_per_domain
         epoch_ns = CFG.dvfs.epoch_ns
-        for r in rec.domain_records():
+        for r in domains_of(tr.records):
             assert r["busy_ns"] >= 0.0
             assert r["stall_ns"] >= 0.0
             assert r["busy_ns"] + r["stall_ns"] == pytest.approx(epoch_ns * per)
 
     def test_pc_table_deltas_sum_to_cumulative(self, recorded):
-        rec, result, _ = recorded
-        epochs = [r for r in rec.records if r["type"] == "epoch"]
+        tr, result, _ = recorded
+        epochs = span_attrs(tr.records, "epoch")
         assert all("pc_lookups" in r for r in epochs)
         assert all(r["pc_lookups"] >= 0 for r in epochs)
         total_hits = sum(r["pc_hits"] for r in epochs)
@@ -190,95 +201,87 @@ class TestRecorder:
         assert result.pc_hit_ratio == pytest.approx(total_hits / total_lookups)
 
     def test_pc_attribution_aggregates(self, recorded):
-        rec, _, _ = recorded
-        assert rec.pc_stats
-        for stat in rec.pc_stats.values():
-            assert stat.samples > 0
-            assert stat.weighted_error >= 0.0
+        tr, _, _ = recorded
+        (run,) = span_attrs(tr.records, "run")
+        for stat in run["pc"]:
+            assert stat["samples"] > 0
+            assert stat["weighted_error"] >= 0.0
+        weights = [stat["weighted_error"] for stat in run["pc"]]
+        assert weights == sorted(weights, reverse=True)
 
     def test_registry_counters(self, recorded):
-        rec, result, _ = recorded
-        counters = rec.registry.counter_values("telemetry_")
-        assert counters["telemetry_epochs"] == result.epochs
-        assert counters["telemetry_decisions"] == result.epochs * N_DOMAINS
-        assert (
-            counters["telemetry_mispredictions"] <= counters["telemetry_decisions"]
-        )
+        tr, result, _ = recorded
+        counters = tr.registry.counter_values("trace_spans_")
+        assert counters["trace_spans_run"] == 1
+        assert counters["trace_spans_epoch"] == result.epochs
+        assert counters["trace_spans_oracle_sample"] == result.epochs
 
     def test_ring_bounds_memory_but_jsonl_keeps_all(self, tmp_path):
         path = tmp_path / "ring.jsonl"
-        rec = EpochTraceRecorder(TelemetryConfig(ring_size=6, jsonl_path=str(path)))
-        result = run_sim(telemetry=rec, max_epochs=20)
-        rec.close()
-        assert len(rec.records) <= 6
-        assert rec.dropped > 0
+        with Tracer(ring_size=6, jsonl_path=str(path)) as tr:
+            result = run_sim(tracer=tr)
+        assert len(tr.records) <= 6
+        assert tr.dropped > 0
         counts = validate_trace_file(path)  # the stream archived fully
-        assert counts["epoch"] == result.epochs
+        assert counts["span"] == tr.total_spans
+        assert len(span_attrs(load_trace_jsonl(path), "epoch")) == result.epochs
 
-    def test_final_records_never_evict_epochs(self, tmp_path):
-        """Flushing PC attribution at end-of-run must not push epoch
-        records out of a ring that had room for the whole run."""
-        ring = 200 * (N_DOMAINS + 1)
-        rec = EpochTraceRecorder(TelemetryConfig(ring_size=ring))
-        result = run_sim(telemetry=rec, max_epochs=20)
-        assert rec.dropped == 0
-        assert len([r for r in rec.records if r["type"] == "epoch"]) == result.epochs
-        assert all(r["type"] != "pc" for r in rec.records)
-        assert any(r["type"] == "pc" for r in rec.final_records)
-
-    def test_record_epochs_off_still_aggregates(self):
-        rec = EpochTraceRecorder(TelemetryConfig(record_epochs=False))
-        result = run_sim(telemetry=rec, max_epochs=15)
-        assert rec.total_records == 0
-        assert rec.epochs == result.epochs
-        assert rec.pc_stats  # attribution still collected
-        assert rec.registry.counter_values("telemetry_")["telemetry_epochs"] > 0
+    def test_final_records_never_evict_epochs(self):
+        """The end-of-run PC attribution rides on the one run span, so
+        a ring with room for the header, two spans per epoch (epoch +
+        oracle_sample) and the run span holds the whole run."""
+        max_epochs = 40
+        tr = Tracer(ring_size=1 + 2 * max_epochs + 1)
+        result = run_sim(tracer=tr, max_epochs=max_epochs)
+        assert tr.dropped == 0
+        assert len(span_attrs(tr.records, "epoch")) == result.epochs
+        (run,) = span_attrs(tr.records, "run")
+        assert run["pc"]
 
     def test_negative_ring_size_rejected(self):
         with pytest.raises(ValueError):
-            TelemetryConfig(ring_size=-1)
+            Tracer(ring_size=-1)
 
 
 class TestOffPath:
     def test_disabled_results_bit_identical(self):
-        baseline = result_signature(run_sim(telemetry=None))
-        with_recorder = result_signature(
-            run_sim(telemetry=EpochTraceRecorder(TelemetryConfig()))
-        )
-        assert baseline == with_recorder
+        baseline = result_signature(run_sim(tracer=None))
+        traced = result_signature(run_sim(tracer=Tracer(observations=True)))
+        assert baseline == traced
 
     def test_disabled_run_allocates_no_telemetry_objects(self, monkeypatch):
-        """With telemetry=None the loop must never touch the telemetry
+        """With tracer=None the loop must never touch the telemetry
         classes; poisoned constructors prove it."""
 
         def boom(self, *a, **kw):
             raise AssertionError("telemetry object allocated on the off path")
 
-        monkeypatch.setattr(EpochTraceRecorder, "__init__", boom)
+        monkeypatch.setattr(Tracer, "__init__", boom)
+        monkeypatch.setattr(RunDigest, "__init__", boom)
         monkeypatch.setattr(MetricsRegistry, "__init__", boom)
-        result = run_sim(telemetry=None)
+        result = run_sim(tracer=None)
         assert result.epochs > 0
 
 
 class TestPerfetto:
     def test_trace_structure(self, recorded):
-        rec, result, _ = recorded
-        trace = perfetto_trace(rec.records)
+        tr, result, _ = recorded
+        trace = perfetto_trace(tr.records)
         assert trace["displayTimeUnit"] == "ns"
         assert trace["otherData"]["schema_version"] == TRACE_SCHEMA_VERSION
         events = trace["traceEvents"]
         phases = {e["ph"] for e in events}
         assert {"M", "X", "C"} <= phases
-        slices = [e for e in events if e["ph"] == "X"]
+        slices = [e for e in events if e["ph"] == "X" and e["cat"] == "epoch"]
         assert len(slices) == result.epochs * N_DOMAINS
         for e in slices:
             assert e["dur"] >= 0
             assert e["ts"] >= 0
 
     def test_counter_tracks_cover_every_domain(self, recorded):
-        rec, _, _ = recorded
+        tr, _, _ = recorded
         counters = {
-            e["name"] for e in perfetto_trace(rec.records)["traceEvents"]
+            e["name"] for e in perfetto_trace(tr.records)["traceEvents"]
             if e["ph"] == "C"
         }
         for d in range(N_DOMAINS):
@@ -286,48 +289,59 @@ class TestPerfetto:
         assert "epoch energy" in counters
 
     def test_save_writes_loadable_json(self, recorded, tmp_path):
-        rec, _, _ = recorded
+        tr, _, _ = recorded
         path = tmp_path / "trace.perfetto.json"
-        n = save_perfetto_json(rec.records, path)
+        n = save_perfetto_json(tr.records, path)
         data = json.loads(path.read_text())
         assert len(data["traceEvents"]) == n > 0
 
 
 class TestAccuracyReport:
     def test_ring_and_jsonl_agree(self, recorded):
-        rec, _, path = recorded
-        from_ring = AccuracyReport.from_recorder(rec)
+        tr, _, path = recorded
+        from_ring = AccuracyReport.from_records(tr.records)
         from_file = AccuracyReport.from_records(load_trace_jsonl(path))
         assert from_ring.error_percentiles() == from_file.error_percentiles()
         assert from_ring.confusion == from_file.confusion
         assert from_ring.pc_attribution == from_file.pc_attribution
+        assert from_ring.pc_attribution
 
     def test_agreement_and_decisions(self, recorded):
-        rec, result, _ = recorded
-        rep = AccuracyReport.from_recorder(rec)
+        tr, result, _ = recorded
+        rep = AccuracyReport.from_records(tr.records)
         assert rep.decisions == result.epochs * N_DOMAINS
         assert 0.0 <= rep.agreement <= 1.0
 
     def test_confusion_grid_conserves_counts(self, recorded):
-        rec, _, _ = recorded
-        rep = AccuracyReport.from_recorder(rec)
+        tr, _, _ = recorded
+        rep = AccuracyReport.from_records(tr.records)
         _, grid = rep.confusion_grid()
         assert sum(sum(row) for row in grid) == rep.decisions
 
     def test_merge_sums(self, recorded):
-        rec, _, _ = recorded
-        a = AccuracyReport.from_recorder(rec)
-        b = AccuracyReport.from_recorder(rec)
+        tr, _, _ = recorded
+        a = AccuracyReport.from_records(tr.records)
+        b = AccuracyReport.from_records(tr.records)
         decisions = a.decisions
         merged = a.merge(b)
         assert merged.decisions == 2 * decisions
         assert merged.epochs == 2 * b.epochs
 
     def test_renderings_are_tables(self, recorded):
-        rec, _, _ = recorded
-        rep = AccuracyReport.from_recorder(rec, label="dgemm/PCSTALL")
+        tr, _, _ = recorded
+        rep = AccuracyReport.from_records(tr.records, label="dgemm/PCSTALL")
         assert "confusion" in rep.render_confusion()
         assert "PCs" in rep.render_top_pcs(3)
+
+
+HEADER = {"type": "trace", "trace_id": "t", **build_meta()}
+SPAN = {"type": "span", "trace_id": "t", "span_id": "1", "parent_id": "",
+        "name": "cell", "t_start_ns": 0, "t_end_ns": 1, "attrs": {}}
+EPOCH_ATTRS = {"epoch": 0, "t_start_ns": 0.0, "t_end_ns": 1.0, "energy": 1.0,
+               "transitions": 0, "committed": 3, "domains": []}
+RUN_ATTRS = {"workload": "w", "design": "d", "n_domains": 1, "epoch_ns": 1.0,
+             "frequencies_ghz": [1.0], "epochs": 1, "delay_ns": 1.0,
+             "energy_total": 1.0, "pc": []}
 
 
 class TestSchema:
@@ -341,10 +355,34 @@ class TestSchema:
         with pytest.raises(ValueError):
             check_meta(None)
 
-    def test_stream_must_start_with_run_record(self):
-        with pytest.raises(ValueError, match="run record"):
-            validate_records([{"type": "summary", "workload": "w", "design": "d",
-                              "epochs": 1, "delay_ns": 1.0, "energy_total": 1.0}])
+    def test_stream_must_start_with_trace_header(self):
+        with pytest.raises(ValueError, match="trace header"):
+            validate_records([SPAN])
+
+    def test_second_trace_header_rejected(self):
+        with pytest.raises(ValueError, match="second trace header"):
+            validate_records([HEADER, SPAN, HEADER])
+
+    @pytest.mark.parametrize("name,attrs,complaint", [
+        ("epoch", {}, "epoch span attrs missing"),
+        ("epoch", {**EPOCH_ATTRS, "domains": "x"}, "not a list"),
+        ("epoch", {**EPOCH_ATTRS, "domains": [{"domain": 0}]},
+         "domains entry missing"),
+        ("epoch", {**EPOCH_ATTRS, "observation": {"truth": None}},
+         "observation lacks its result"),
+        ("run", {**RUN_ATTRS, "pc": [{"pc_idx": 1}]}, "pc entry missing"),
+        ("run", {k: v for k, v in RUN_ATTRS.items() if k != "energy_total"},
+         "run span attrs missing"),
+    ])
+    def test_run_and_epoch_span_attrs_checked(self, name, attrs, complaint):
+        span = {**SPAN, "name": name, "attrs": attrs}
+        with pytest.raises(ValueError, match=complaint):
+            validate_records([HEADER, span])
+
+    def test_recorded_span_attrs_validate(self):
+        span = {**SPAN, "name": "epoch", "attrs": EPOCH_ATTRS}
+        run = {**SPAN, "name": "run", "attrs": RUN_ATTRS}
+        assert validate_records([HEADER, span, run]) == {"trace": 1, "span": 2}
 
     def test_unknown_record_type_rejected(self):
         with pytest.raises(ValueError, match="unknown record type"):

@@ -27,6 +27,7 @@ from repro.gpu.gpu import EpochResult, WaveEpochRecord
 from repro.gpu.wavefront import WavefrontStats
 from repro.power.energy import EnergyBreakdown
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.schema import build_meta
 from repro.validation import (
     CheckReport,
     DiffReport,
@@ -196,28 +197,45 @@ class TestAuditPCTable:
         assert "ratio_out_of_bounds" in got
 
 
-def make_stream(**over):
-    """A conservation-clean telemetry stream; corrupt via ``over``."""
-    records = {
-        "run": {"type": "run", "workload": "w", "design": "d",
+def make_stream(wall_offset_ns=0, **over):
+    """A conservation-clean trace stream; corrupt a piece via ``over``.
+
+    ``epoch<i>``/``domain<i>`` patch epoch ``i``'s span attrs and its
+    one domain entry; ``run``/``summary`` patch the run span's start
+    and finish attrs. ``wall_offset_ns`` shifts every span's wall clock.
+    """
+    parts = {
+        "run": {"workload": "w", "design": "d",
                 "frequencies_ghz": list(GRID)},
-        "epoch0": {"type": "epoch", "epoch": 0, "t_start_ns": 0.0,
+        "epoch0": {"epoch": 0, "t_start_ns": 0.0,
                    "t_end_ns": 1000.0, "energy": 5.0, "committed": 100,
                    "pc_lookups": 10, "pc_hits": 8},
-        "domain0": {"type": "domain", "epoch": 0, "domain": 0,
+        "domain0": {"epoch": 0, "domain": 0,
                     "freq_ghz": 1.7, "rel_error": 0.1, "actual_commits": 100},
-        "epoch1": {"type": "epoch", "epoch": 1, "t_start_ns": 1000.0,
+        "epoch1": {"epoch": 1, "t_start_ns": 1000.0,
                    "t_end_ns": 2000.0, "energy": 7.0, "committed": 150,
                    "pc_lookups": 10, "pc_hits": 9},
-        "domain1": {"type": "domain", "epoch": 1, "domain": 0,
+        "domain1": {"epoch": 1, "domain": 0,
                     "freq_ghz": 1.3, "rel_error": 0.0, "actual_commits": 150},
-        "summary": {"type": "summary", "epochs": 2, "total_committed": 250,
+        "summary": {"epochs": 2, "total_committed": 250,
                     "energy_total": 12.0, "elapsed_ns": 2000.0,
                     "delay_ns": 1800.0, "completed": True},
     }
     for name, patch in over.items():
-        records[name] = {**records[name], **patch}
-    return list(records.values())
+        parts[name] = {**parts[name], **patch}
+
+    def span(span_id, name, attrs):
+        t0 = wall_offset_ns + 10 * int(span_id)
+        return {"type": "span", "trace_id": "t", "span_id": span_id,
+                "parent_id": "" if name == "run" else "1", "name": name,
+                "t_start_ns": t0, "t_end_ns": t0 + 5, "attrs": attrs}
+
+    stream = [{"type": "trace", "trace_id": "t", **build_meta()}]
+    for e in (0, 1):
+        attrs = {**parts[f"epoch{e}"], "domains": [parts[f"domain{e}"]]}
+        stream.append(span(str(e + 2), "epoch", attrs))
+    stream.append(span("1", "run", {**parts["run"], **parts["summary"]}))
+    return stream
 
 
 class TestAuditEpochRecords:
@@ -266,7 +284,7 @@ class TestAuditEpochRecords:
         assert "window_not_conserved" in checks(audit_epoch_records(stream))
 
     def test_stream_without_summary_skips_conservation(self):
-        stream = [r for r in make_stream() if r["type"] != "summary"]
+        stream = [r for r in make_stream() if r.get("name") != "run"]
         assert audit_epoch_records(stream) == []
 
 
@@ -307,10 +325,12 @@ class TestDiffRunResults:
         b = make_stream(epoch1={"committed": 151}, summary={"total_committed": 251})
         assert first_divergence(a, b) == 1
         assert first_divergence(a, make_stream()) is None
+        # Wall-clock span fields differ run to run and are not compared.
+        assert first_divergence(a, make_stream(wall_offset_ns=12345)) is None
 
     def test_first_divergence_on_length_mismatch(self):
         a = make_stream()
-        b = [r for r in make_stream() if r.get("epoch") != 1]
+        b = [r for r in make_stream() if r.get("attrs", {}).get("epoch") != 1]
         assert first_divergence(a, b) == 1
 
 
@@ -351,10 +371,27 @@ class TestDifferentialEndToEnd:
 
     def test_engine_differential_identical(self):
         task = make_task("comd", "STATIC@1.7", self._config(),
-                         scale=0.05, max_epochs=8, oracle_sample_freqs=3)
+                         scale=0.03, max_epochs=40, oracle_sample_freqs=3)
         report = engine_differential(task, trace=True)
         assert report.ok, report.render()
         assert report.first_diverging_epoch is None
+
+    def test_first_divergence_on_real_traces(self):
+        """Two traced runs of one cell differ only in wall clock, which
+        is not compared; another design diverges from epoch 0."""
+        from dataclasses import replace
+
+        from repro.obs import Tracer
+        from repro.runtime.executor import run_task
+
+        task = make_task("comd", "STATIC@1.7", self._config(), scale=0.05,
+                         max_epochs=40, collect_accuracy=False)
+        a, b, c = (Tracer(ring_size=0) for _ in range(3))
+        run_task(task, tracer=a)
+        run_task(task, tracer=b)
+        run_task(replace(task, design="STATIC@1.3"), tracer=c)
+        assert first_divergence(list(a.records), list(b.records)) is None
+        assert first_divergence(list(a.records), list(c.records)) == 0
 
     def test_oracle_fork_differential_identical(self):
         from repro.workloads import build_workload, workload

@@ -234,15 +234,3 @@ class TestFrameReceiver:
             receiver.recv(2.0)
         a.close(), b.close()
 
-
-class TestServiceReExports:
-    def test_protocol_module_reuses_wire(self):
-        """service.protocol and runtime.wire must expose the *same*
-        objects - two ProtocolError classes would break except clauses."""
-        import repro.runtime.wire as wire
-        import repro.service.protocol as protocol
-
-        for name in ("ProtocolError", "encode_frame", "decode_payload",
-                     "read_frame", "recv_frame", "send_frame"):
-            assert getattr(protocol, name) is getattr(wire, name), name
-        assert protocol.MAX_FRAME_BYTES == wire.MAX_FRAME_BYTES
