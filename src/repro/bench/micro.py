@@ -8,8 +8,9 @@ Five benchmarks, each isolating one layer of the per-epoch cost stack:
   two CUs: the ready-heap scan path plus memory completions.
 * ``oracle_sampling``- the fork-and-pre-execute loop (snapshot + restore
   + pre-execution per grid frequency), the multiplier on everything.
-* ``predictor_update`` - PCSTALL's observe/predict step over recorded
-  epoch results: pure controller-side work, no simulation.
+* ``predictor_update`` - PCSTALL's controller step (``observe`` +
+  ``decide``: estimate, PC-table update and lookup, ED2P argmin) over
+  recorded epoch results: pure controller-side work, no simulation.
 * ``end_to_end``     - one quick workload x design cell through the real
   executor, the number users actually feel.
 
@@ -289,8 +290,15 @@ def bench_oracle_sampling(s: BenchSettings) -> BenchResult:
 
 
 def bench_predictor_update(s: BenchSettings) -> BenchResult:
-    """PCSTALL observe + predict over recorded epochs (no simulation)."""
-    from repro.core.predictors import ObserveContext, PCBasedPredictor
+    """PCSTALL's controller step over recorded epochs (no simulation).
+
+    Each update is one ``DvfsController.observe`` + ``decide``: the
+    WF-STALL estimates and PC-table writes, the table lookups and the
+    ED2P frequency argmin - the decision path ``repro serve`` runs per
+    observation. The hot path carries the PC-table counters, so
+    ``--against`` gates the decision path's work exactly.
+    """
+    from repro.dvfs.designs import make_controller
 
     updates = 150 if s.quick else 600
     cfg = small_config(n_cus=2, waves_per_cu=4)  # engine-independent work
@@ -302,19 +310,21 @@ def bench_predictor_update(s: BenchSettings) -> BenchResult:
     gpu.load_kernel(kernel)
     results = [gpu.run_epoch(epoch_ns) for _ in range(4)]
     records = sum(len(cu) for r in results for cu in r.wave_records)
-    ctx = ObserveContext(
-        config=cfg.gpu, f_lo_ghz=cfg.dvfs.f_min, f_hi_ghz=cfg.dvfs.f_max
-    )
 
     def make_run():
-        predictor = PCBasedPredictor(cfg.gpu)
+        ctrl = make_controller("PCSTALL", cfg)
 
         def run():
             n = len(results)
             for i in range(updates):
-                predictor.observe(results[i % n], ctx)
-                predictor.predict_domains()
-            return {"epochs": updates, "committed": 0, "hotpath": {}}
+                ctrl.observe(results[i % n])
+                ctrl.decide()
+            stats = ctrl.predictor.table_stats()
+            return {
+                "epochs": updates,
+                "committed": 0,
+                "hotpath": {f"pc_{k}": v for k, v in stats.items()},
+            }
 
         return run
 

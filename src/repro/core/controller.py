@@ -117,30 +117,6 @@ class DvfsController:
             true_domain_lines=true_domain_lines,
         )
         self.predictor.observe(result, ctx)
-        per = self.config.gpu.cus_per_domain
-        for d in range(self.config.gpu.n_domains):
-            commits = sum(
-                result.cu_stats[cu].committed for cu in range(d * per, (d + 1) * per)
-            )
-            self.objective.observe_epoch(
-                d, self._measured_domain_power(result, d), commits
-            )
-
-    def _measured_domain_power(self, result: EpochResult, domain: int) -> float:
-        """Actual wall power of a domain over the elapsed epoch, plus its
-        share of the constant memory power (feedback for the adaptive
-        ED^nP delay weight)."""
-        gpu_cfg = self.config.gpu
-        f = result.frequencies_ghz[domain]
-        cycles = result.duration_ns * f
-        slots = cycles * gpu_cfg.issue_width
-        total = 0.0
-        per = gpu_cfg.cus_per_domain
-        for cu_id in range(domain * per, (domain + 1) * per):
-            issued = result.cu_stats[cu_id].issued
-            activity = min(1.0, issued / slots) if slots > 0 else 0.0
-            total += self.power.cu_power(f, activity)
-        return total + self._ctx.memory_power_share
 
     def decide(self) -> List[float]:
         """Frequencies for the next epoch, one per domain."""

@@ -229,25 +229,54 @@ class WavefrontStallModel(EstimationModel):
         self.age_kappa = age_kappa
 
     def estimate_wavefronts(self, result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config):
+        """One estimate per wave record of ``cu_id``.
+
+        :func:`interval_line` and :meth:`LinearSensitivity.from_two_points`
+        are inlined, with the per-CU factors hoisted: every float op and
+        clamp is theirs, in their order, so the lines are bit-identical
+        to calling them (DESIGN.md §3l).
+        """
         records = result.wave_records[cu_id]
         t = result.duration_ns
         n = max(1, len(records))
+        scale_lo = f_ghz / f_lo_ghz
+        scale_hi = f_ghz / f_hi_ghz
+        df = f_hi_ghz - f_lo_ghz
+        flat = f_hi_ghz == f_lo_ghz
+        kappa = self.age_kappa
+        age_norm = kappa > 0.0 and n > 1
+        mid_f = 0.5 * (f_lo_ghz + f_hi_ghz)
         out: List[WavefrontEstimate] = []
         for r in records:
             s = r.stats
+            committed = s.committed
             t_async = min(t, s.stall_ns + s.barrier_stall_ns)
             t_core = t - t_async
-            line = interval_line(s.committed, t_core, t_async, f_ghz, f_lo_ghz, f_hi_ghz)
-            if self.age_kappa > 0.0 and n > 1:
+            total = t_core + t_async
+            if total <= 0.0 or committed <= 0.0:
+                i0 = max(0.0, committed)
+                slope = 0.0
+            else:
+                denom = t_core * scale_lo + t_async
+                i_lo = committed if denom <= 0.0 else total * committed / denom
+                if flat:
+                    i0 = i_lo
+                    slope = 0.0
+                else:
+                    denom = t_core * scale_hi + t_async
+                    i_hi = committed if denom <= 0.0 else total * committed / denom
+                    slope = (i_hi - i_lo) / df
+                    i0 = i_lo - slope * f_lo_ghz
+            if age_norm:
                 # Younger (higher-rank) wavefronts saw scheduling
                 # contention that scales with frequency: part of their
                 # apparent stall is actually core time. Shift a rank-
                 # proportional slice of i0 into slope.
-                shift = self.age_kappa * (r.age_rank / (n - 1)) if n > 1 else 0.0
-                mid_f = 0.5 * (f_lo_ghz + f_hi_ghz)
-                moved = shift * max(0.0, line.i0) * 0.1
-                line = LinearSensitivity(line.i0 - moved, line.slope + moved / mid_f)
-            out.append(WavefrontEstimate(r, line))
+                shift = kappa * (r.age_rank / (n - 1))
+                moved = shift * max(0.0, i0) * 0.1
+                i0 = i0 - moved
+                slope = slope + moved / mid_f
+            out.append(WavefrontEstimate(r, LinearSensitivity(i0, slope)))
         return out
 
     def estimate_cu(self, result, cu_id, f_ghz, f_lo_ghz, f_hi_ghz, config):

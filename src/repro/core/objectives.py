@@ -69,13 +69,6 @@ class Objective(abc.ABC):
         """Frequency for the next epoch. ``line`` may be None (no
         prediction yet) in which case implementations should hold."""
 
-    def observe_epoch(
-        self, domain: int, measured_power: float, measured_commits: float
-    ) -> None:
-        """Feedback hook: the domain's measured power and committed work
-        over the elapsed epoch. Stateful objectives use it to calibrate
-        their work/energy exchange rate; default no-op."""
-
 
 class StaticObjective(Objective):
     """Always run at a fixed frequency."""
@@ -126,26 +119,42 @@ class EDnPObjective(Objective):
         self.price_scale = price_scale
         self.name = f"ED{n}P" if n != 1 else "EDP"
 
-    def _work_price(self, line: LinearSensitivity, ctx: ObjectiveContext) -> float:
-        """Power-per-work exchange rate, anchored at the reference.
+    def choose(self, line, freq_grid, current_f, ctx, domain=0):
+        """Grid argmin of ``cost(f)``, on the controller's critical path.
 
+        The work price is ``price_scale * (n+1) * P(f_ref) / I(f_ref)``.
         ``price_scale`` is a platform calibration constant (the anchor
         approximates the optimum's Lagrange multiplier only to first
         order); 1.0 works well for the default power model.
-        """
-        f_ref = ctx.reference_freq_ghz
-        p_ref = ctx.domain_power(line, f_ref)
-        i_ref = max(line.predict(f_ref), 1.0)
-        return self.price_scale * (self.n + 1) * p_ref / i_ref
 
-    def choose(self, line, freq_grid, current_f, ctx, domain=0):
+        ``ctx.domain_power`` and ``line.predict`` are inlined over
+        locals with every float op in their order, so each choice is
+        bit-identical to composing them (DESIGN.md §3l).
+        """
         if line is None:
             return current_f
-        price = self._work_price(line, ctx)
+        i0 = line.i0
+        slope = line.slope
+        cu_power = ctx.power.cu_power
+        n_cus = ctx.n_cus_in_domain
+        mem = ctx.memory_power_share
+        epoch_ns = ctx.epoch_ns
+        width = ctx.issue_width
+
+        f = ctx.reference_freq_ghz
+        pred = max(0.0, i0 + slope * f)
+        slots = epoch_ns * f * width * n_cus
+        act = 0.0 if slots <= 0 else min(1.0, pred / slots)
+        p_ref = cu_power(f, act) * n_cus + mem
+        price = self.price_scale * (self.n + 1) * p_ref / max(pred, 1.0)
+
         best_f = current_f
         best_cost = float("inf")
         for f in freq_grid:
-            cost = ctx.domain_power(line, f) - price * line.predict(f)
+            pred = max(0.0, i0 + slope * f)
+            slots = epoch_ns * f * width * n_cus
+            act = 0.0 if slots <= 0 else min(1.0, pred / slots)
+            cost = cu_power(f, act) * n_cus + mem - price * pred
             if cost < best_cost:
                 best_cost = cost
                 best_f = f

@@ -52,7 +52,7 @@ class PCTableConfig:
         return self.n_entries * self.instructions_per_entry
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     valid: bool = False
     i0: float = 0.0
@@ -84,10 +84,6 @@ class PCTable:
     def index_of_instruction(self, pc_idx: int) -> int:
         return self.index_of(pc_idx * self.config.instruction_bytes)
 
-    def _key_of_instruction(self, pc_idx: int) -> int:
-        """Pre-wrap PC key (all PC bits above the offset)."""
-        return (pc_idx * self.config.instruction_bytes) >> self.config.offset_bits
-
     # ------------------------------------------------------------------
 
     def update(self, pc_idx: int, line: LinearSensitivity) -> None:
@@ -97,9 +93,10 @@ class PCTable:
         ``update_weight == 1`` the entry is simply overwritten
         (last-value semantics, as in the paper).
         """
-        entry = self._entries[self.index_of_instruction(pc_idx)]
-        key = self._key_of_instruction(pc_idx)
-        w = self.config.update_weight
+        cfg = self.config
+        key = (pc_idx * cfg.instruction_bytes) >> cfg.offset_bits
+        entry = self._entries[key % cfg.n_entries]
+        w = cfg.update_weight
         if entry.valid and entry.pc_key != key:
             self.evictions += 1
         if entry.valid and entry.pc_key == key and w < 1.0:
@@ -121,13 +118,26 @@ class PCTable:
         is tagless - but does not count as a hit, matching how the paper
         sized the table by hit ratio.
         """
+        entry = self.lookup_entry(pc_idx)
+        if entry is None:
+            return None
+        return LinearSensitivity(entry.i0, entry.slope)
+
+    def lookup_entry(self, pc_idx: int) -> Optional[_Entry]:
+        """:meth:`lookup` without allocating: the live entry or None.
+
+        Counts exactly like :meth:`lookup`. The entry is the table's own
+        storage: read its ``i0``/``slope`` at once and do not keep it.
+        """
         self.lookups += 1
-        entry = self._entries[self.index_of_instruction(pc_idx)]
+        cfg = self.config
+        key = (pc_idx * cfg.instruction_bytes) >> cfg.offset_bits
+        entry = self._entries[key % cfg.n_entries]
         if not entry.valid:
             return None
-        if entry.pc_key == self._key_of_instruction(pc_idx):
+        if entry.pc_key == key:
             self.hits += 1
-        return LinearSensitivity(entry.i0, entry.slope)
+        return entry
 
     # ------------------------------------------------------------------
 

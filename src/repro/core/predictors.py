@@ -144,6 +144,7 @@ class PCBasedPredictor(Predictor):
         self.tables = [
             PCTable(table_config) for _ in range(config.n_cus // cus_per_table)
         ]
+        self._domain_cus = _domain_cu_ids(config)
         self._last_result: Optional[EpochResult] = None
         #: Reactive fallback on table miss: last estimate per wavefront id.
         self._last_wave_lines: Dict[int, LinearSensitivity] = {}
@@ -159,31 +160,47 @@ class PCBasedPredictor(Predictor):
             estimates = self.estimator.estimate_wavefronts(
                 result, cu_id, f, ctx.f_lo_ghz, ctx.f_hi_ghz, ctx.config
             )
-            table = self.table_for_cu(cu_id)
+            update = self.table_for_cu(cu_id).update
             for est in estimates:
-                table.update(est.record.start_pc_idx, est.line)
-                next_wave_lines[est.record.wf_id] = est.line
+                record = est.record
+                update(record.start_pc_idx, est.line)
+                next_wave_lines[record.wf_id] = est.line
         self._last_wave_lines = next_wave_lines
 
     def predict_domains(self) -> List[Optional[LinearSensitivity]]:
+        """Sum each domain's wave lines: table entry, else last estimate.
+
+        Accumulates ``i0``/``slope`` as floats in the order of summing
+        ``LinearSensitivity`` objects from ``zero()`` - domain, then CU,
+        then record - so the result is bit-identical to that sum. A
+        cold miss (no entry, no last estimate) is the zero line, and is
+        skipped: a sum started at +0.0 is never -0.0, so adding 0.0
+        leaves it unchanged.
+        """
         result = self._last_result
         if result is None:
             return [None] * self.config.n_domains
+        last_lines = self._last_wave_lines
+        wave_records = result.wave_records
+        tables = self.tables
+        per_table = self.cus_per_table
         out: List[Optional[LinearSensitivity]] = []
-        for cu_ids in _domain_cu_ids(self.config):
-            total = LinearSensitivity.zero()
+        for cu_ids in self._domain_cus:
+            i0 = 0.0
+            slope = 0.0
             seen_any = False
             for cu_id in cu_ids:
-                table = self.table_for_cu(cu_id)
-                for record in result.wave_records[cu_id]:
+                lookup = tables[cu_id // per_table].lookup_entry
+                for record in wave_records[cu_id]:
                     seen_any = True
-                    line = table.lookup(record.next_pc_idx)
+                    line = lookup(record.next_pc_idx)
                     if line is None:
-                        line = self._last_wave_lines.get(
-                            record.wf_id, LinearSensitivity.zero()
-                        )
-                    total = total + line
-            out.append(total if seen_any else None)
+                        line = last_lines.get(record.wf_id)
+                        if line is None:
+                            continue
+                    i0 += line.i0
+                    slope += line.slope
+            out.append(LinearSensitivity(i0, slope) if seen_any else None)
         return out
 
     def hit_ratio(self) -> float:

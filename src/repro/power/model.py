@@ -24,8 +24,14 @@ absolute scale cancels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.config import PowerConfig
+
+#: Most distinct frequencies :meth:`PowerModel.cu_power` memoises. The
+#: DVFS grid has ~10 points; a caller sweeping arbitrary frequencies
+#: still gets correct results past the cap, just without the memo.
+POWER_TERMS_CACHE_SIZE = 64
 
 
 def voltage_for_frequency(cfg: PowerConfig, f_ghz: float) -> float:
@@ -47,6 +53,13 @@ class PowerModel:
     """Evaluates CU-domain and memory-subsystem power."""
 
     config: PowerConfig
+
+    def __post_init__(self) -> None:
+        # f -> (c_eff*v*v, leakage, ivr_efficiency): the frequency-only
+        # factors of cu_power(), filled on first use. Not a field, so
+        # equality, hashing and canonical config keys never see it.
+        terms: Dict[float, Tuple[float, float, float]] = {}
+        object.__setattr__(self, "_terms", terms)
 
     def voltage(self, f_ghz: float) -> float:
         return voltage_for_frequency(self.config, f_ghz)
@@ -80,10 +93,30 @@ class PowerModel:
         return cfg.leakage_per_cu_at_vmax * ratio * cfg.temperature_factor
 
     def cu_power(self, f_ghz: float, activity: float) -> float:
-        """Total wall power drawn for one CU, including IVR losses."""
+        """Total wall power drawn for one CU, including IVR losses.
+
+        Equals ``(dynamic_power_per_cu + leakage_power_per_cu) /
+        ivr_efficiency`` bit for bit: ``c*v*v*a*f`` evaluates left to
+        right, so the memoised ``c*v*v`` is the same partial product.
+        """
+        terms = self._terms.get(f_ghz)
+        if terms is None:
+            terms = self._power_terms(f_ghz)
+        cvv, leak, eff = terms
+        cfg = self.config
+        a = cfg.idle_activity + (1.0 - cfg.idle_activity) * min(max(activity, 0.0), 1.0)
+        return (cvv * a * f_ghz + leak) / eff
+
+    def _power_terms(self, f_ghz: float) -> Tuple[float, float, float]:
         v = self.voltage(f_ghz)
-        consumed = self.dynamic_power_per_cu(f_ghz, activity) + self.leakage_power_per_cu(f_ghz)
-        return consumed / self.ivr_efficiency(v)
+        terms = (
+            self.config.c_eff_per_cu * v * v,
+            self.leakage_power_per_cu(f_ghz),
+            self.ivr_efficiency(v),
+        )
+        if len(self._terms) < POWER_TERMS_CACHE_SIZE:
+            self._terms[f_ghz] = terms
+        return terms
 
     def memory_power(self, n_l2_banks: int) -> float:
         """Constant power of the fixed-frequency memory subsystem."""
@@ -94,4 +127,4 @@ class PowerModel:
         return self.config.transition_energy * n_transitions
 
 
-__all__ = ["PowerModel", "voltage_for_frequency"]
+__all__ = ["POWER_TERMS_CACHE_SIZE", "PowerModel", "voltage_for_frequency"]

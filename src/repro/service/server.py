@@ -4,8 +4,8 @@ One :class:`DecisionService` owns:
 
 * **Sessions** - each ``open`` builds a fresh controller via
   :func:`~repro.dvfs.designs.make_controller` from the client-supplied
-  design + config, so session state (PC tables, objective feedback,
-  current frequencies) is exactly the state an offline
+  design + config, so session state (PC tables, current frequencies)
+  is exactly the state an offline
   :class:`~repro.dvfs.simulation.DvfsSimulation` would hold. Designs
   needing *future* oracle truth (ORACLE) are rejected at open: an
   online service cannot pre-execute its clients' next epoch.
@@ -30,8 +30,10 @@ One :class:`DecisionService` owns:
   to it.
 * **Observability** - ``/healthz`` (200 serving / 503 draining) and
   ``/metrics`` (a :class:`~repro.telemetry.metrics.MetricsRegistry`
-  snapshot with build meta + config hash as JSON, or Prometheus text
-  exposition via ``?format=prometheus`` / ``Accept: text/plain``) over
+  snapshot, including the ``service_decision_seconds`` and
+  ``service_queue_wait_seconds`` latency histograms, with build meta +
+  config hash as JSON, or Prometheus text exposition via
+  ``?format=prometheus`` / ``Accept: text/plain``) over
   minimal hand-rolled HTTP on a second listener. An optional
   :class:`~repro.obs.trace.Tracer` spans every connect -> session ->
   request -> decision, and an optional
@@ -57,7 +59,7 @@ from repro.dvfs.designs import make_controller
 from repro.obs.log import get_logger
 from repro.runtime.wire import ProtocolError, encode_frame, read_frame
 from repro.service import protocol as proto
-from repro.telemetry.metrics import BATCH_BUCKETS, MetricsRegistry
+from repro.telemetry.metrics import BATCH_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.obs.drift import DriftMonitor
@@ -139,7 +141,16 @@ class DecisionService:
         drift: Optional["DriftMonitor"] = None,
     ) -> None:
         self.config = config
-        self.registry = registry or MetricsRegistry()
+        self.registry = reg = registry or MetricsRegistry()
+        # Hot-path metric handles, taken once.
+        self._requests = reg.counter("service_requests")
+        self._batches = reg.counter("service_batches")
+        self._decisions = reg.counter("service_decisions")
+        self._batch_size = reg.histogram("service_batch_size", BATCH_BUCKETS)
+        #: Server-side decode + observe + decide, per decision.
+        self._decision_s = reg.histogram("service_decision_seconds", LATENCY_BUCKETS)
+        #: Admission to batch pick-up, per admitted observation.
+        self._queue_wait_s = reg.histogram("service_queue_wait_seconds", LATENCY_BUCKETS)
         #: Optional span tracer: connect -> session -> request ->
         #: decision. Spans only observe; decisions are bit-identical
         #: with or without one (``repro replay`` pins this down).
@@ -388,7 +399,7 @@ class DecisionService:
         """Queue an observation, or shed it when the session is over cap."""
         reg = self.registry
         tr = self.tracer
-        reg.inc("service_requests")
+        self._requests.inc()
         transport = session.writer.transport
         slow = (
             transport is not None
@@ -427,7 +438,7 @@ class DecisionService:
                 session=session.sid, epoch=msg.get("epoch"),
             )
         session.inflight += 1
-        self._queue.put_nowait((session, msg, req_span))
+        self._queue.put_nowait((session, msg, req_span, time.perf_counter()))
 
     async def _batch_loop(self) -> None:
         """Single consumer of the observation queue.
@@ -446,9 +457,11 @@ class DecisionService:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            reg.inc("service_batches")
-            reg.histogram("service_batch_size", BATCH_BUCKETS).observe(len(batch))
-            for session, msg, req_span in batch:
+            picked_up = time.perf_counter()
+            self._batches.inc()
+            self._batch_size.observe(len(batch))
+            for session, msg, req_span, admitted in batch:
+                self._queue_wait_s.observe(picked_up - admitted)
                 dec_span = (
                     tr.start("decision", parent=req_span)
                     if tr is not None and req_span is not None
@@ -476,6 +489,7 @@ class DecisionService:
 
     def _decide(self, session: _Session, msg) -> Optional[Dict[str, object]]:
         """observe() + decide() for one admitted observation."""
+        t0 = time.perf_counter()
         reg = self.registry
         if session.closed:
             return None
@@ -515,7 +529,8 @@ class DecisionService:
         controller.observe(result, true_domain_lines=truth)
         decision = controller.decide()
         session.expected_epoch = int(epoch) + 1
-        reg.inc("service_decisions")
+        self._decisions.inc()
+        self._decision_s.observe(time.perf_counter() - t0)
         return {
             "type": proto.MSG_DECISION,
             "seq": seq,

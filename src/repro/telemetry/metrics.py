@@ -38,6 +38,12 @@ SECONDS_BUCKETS: Tuple[float, ...] = (
     0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0,
 )
 
+#: Histogram bounds for sub-millisecond service latencies (seconds):
+#: the decision service's per-decision and queue-wait times.
+LATENCY_BUCKETS: Tuple[float, ...] = (
+    2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 1e-1,
+)
+
 #: Default histogram bounds for small batch sizes (the decision
 #: service's micro-batches): powers of two up to its default batch cap.
 BATCH_BUCKETS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -243,6 +249,7 @@ __all__ = [
     "MetricsRegistry",
     "merge_all",
     "BATCH_BUCKETS",
+    "LATENCY_BUCKETS",
     "RATIO_BUCKETS",
     "SECONDS_BUCKETS",
 ]

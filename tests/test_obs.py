@@ -640,6 +640,13 @@ class TestTracedService:
                 if name == "service_decisions"
             )
             assert decisions == report.decisions_compared
+            for hist in ("service_decision_seconds", "service_queue_wait_seconds"):
+                counts = [v for (name, _), v in samples.items()
+                          if name == f"{hist}_count"]
+                assert counts == [decisions]
+                # Sub-millisecond buckets.
+                assert any(name == f"{hist}_bucket" and "le=0.0001" in labels
+                           for name, labels in samples)
         finally:
             server.stop()
 

@@ -535,6 +535,14 @@ def test_healthz_and_metrics(server, pcstall_trace):
     assert snapshot["counters"]["service_decisions"] > 0
     assert snapshot["counters"]["service_sessions_opened"] >= 1
     assert "service_batch_size" in snapshot["histograms"]
+    hists = snapshot["histograms"]
+    # One decision-time sample per decision, one queue wait per admitted
+    # observation (every observation here was admitted and decided).
+    decided = snapshot["counters"]["service_decisions"]
+    assert hists["service_decision_seconds"]["total"] == decided
+    assert hists["service_queue_wait_seconds"]["total"] == decided
+    assert hists["service_decision_seconds"]["bounds"][0] < 1e-3
+    assert 0.0 < hists["service_decision_seconds"]["sum"] < 30.0
 
     conn = http.client.HTTPConnection("127.0.0.1", server.health_port, timeout=5)
     try:
