@@ -190,17 +190,22 @@ class Program:
     name: str = "kernel"
 
     def __post_init__(self) -> None:
-        if not self.instructions:
+        instrs = self.instructions
+        if not instrs:
             raise ValueError("program must not be empty")
-        if self.instructions[-1].kind is not InstructionKind.ENDPGM:
+        end = InstructionKind.ENDPGM
+        if instrs[-1].kind is not end:
             raise ValueError("program must end with ENDPGM")
-        for idx, instr in enumerate(self.instructions):
-            if instr.kind is InstructionKind.BRANCH:
+        jump = InstructionKind.BRANCH
+        last = len(instrs) - 1
+        for idx, instr in enumerate(instrs):
+            kind = instr.kind
+            if kind is jump:
                 if instr.branch_target >= idx:
                     raise ValueError(
                         f"branch at {idx} must jump backwards (target {instr.branch_target})"
                     )
-            if instr.kind is InstructionKind.ENDPGM and idx != len(self.instructions) - 1:
+            elif kind is end and idx != last:
                 raise ValueError("ENDPGM must be the final instruction")
 
     def __len__(self) -> int:
@@ -282,22 +287,26 @@ class CompiledProgram:
     )
 
     def __init__(self, source: Program) -> None:
-        instrs = source.instructions
         self.source = source
-        self.kinds: Tuple[int, ...] = tuple(int(i.kind) for i in instrs)
-        self.cycles: Tuple[int, ...] = tuple(i.cycles for i in instrs)
-        self.l1_hit_rates: Tuple[float, ...] = tuple(i.l1_hit_rate for i in instrs)
-        self.l2_hit_rates: Tuple[float, ...] = tuple(i.l2_hit_rate for i in instrs)
-        self.pattern_jitters: Tuple[float, ...] = tuple(i.pattern_jitter for i in instrs)
-        self.wait_targets: Tuple[int, ...] = tuple(i.wait_target for i in instrs)
-        self.branch_targets: Tuple[int, ...] = tuple(i.branch_target for i in instrs)
-        self.trip_counts: Tuple[int, ...] = tuple(i.trip_count for i in instrs)
+        # One decode row per distinct instruction object (generated
+        # programs repeat shared instances), keyed by identity so equal
+        # instructions of different field types keep their own row. The
+        # per-pc rows are then transposed into the columns at C speed.
+        instrs = source.instructions
+        ids = list(map(id, instrs))
         batch_kinds = (
             int(InstructionKind.VALU),
             int(InstructionKind.SALU),
             int(InstructionKind.BRANCH),
         )
-        self.batchable: Tuple[bool, ...] = tuple(k in batch_kinds for k in self.kinds)
+        rows = {
+            key: (int(i.kind), i.cycles, i.l1_hit_rate, i.l2_hit_rate, i.pattern_jitter,
+                  i.wait_target, i.branch_target, i.trip_count, int(i.kind) in batch_kinds)
+            for key, i in dict(zip(ids, instrs)).items()
+        }
+        (self.kinds, self.cycles, self.l1_hit_rates, self.l2_hit_rates, self.pattern_jitters,
+         self.wait_targets, self.branch_targets, self.trip_counts,
+         self.batchable) = zip(*map(rows.__getitem__, ids))
         #: Per-frequency cost tables, keyed by cycle period (ns). The DVFS
         #: grid is small (10 states), so this saturates immediately.
         self._cost_cache: Dict[float, Tuple[float, ...]] = {}

@@ -38,6 +38,7 @@ served).
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.config import DvfsConfig, GpuConfig, MemoryConfig, PowerConfig, SimConfig
@@ -126,32 +127,46 @@ def sim_config_from_wire(wire: Mapping[str, Any]) -> SimConfig:
         raise ProtocolError(f"malformed sim config: {exc}") from None
 
 
+#: Field counts of the flat stats captures (``CuEpochStats.capture()``,
+#: ``WavefrontStats.capture()``); a wire capture must match exactly.
+_CU_CAPTURE_LEN = len(fields(CuEpochStats))
+_WAVE_CAPTURE_LEN = len(fields(WavefrontStats))
+
+
 def epoch_result_from_wire(wire: Mapping[str, Any]) -> EpochResult:
     """Rebuild an :class:`~repro.gpu.gpu.EpochResult` from its wire form.
 
-    Inverse of :func:`repro.telemetry.schema.epoch_result_to_wire`;
-    restores the per-CU and per-wavefront stats through the same
-    ``restore_capture`` paths the GPU snapshot machinery uses.
+    Inverse of :func:`repro.telemetry.schema.epoch_result_to_wire`. The
+    per-CU and per-wavefront stats are constructed positionally from
+    their flat ``capture()`` lists, in field order. Each capture's
+    length is checked first, because a short one would otherwise
+    silently take the remaining fields' defaults.
     """
     try:
         cu_stats = []
         for cap in wire["cu_stats"]:
-            stats = CuEpochStats()
-            stats.restore_capture(tuple(cap))
-            cu_stats.append(stats)
+            if type(cap) is not list or len(cap) != _CU_CAPTURE_LEN:
+                raise ProtocolError(
+                    f"malformed epoch result: a CU stats capture must be "
+                    f"a list of {_CU_CAPTURE_LEN} values"
+                )
+            cu_stats.append(CuEpochStats(*cap))
         wave_records = []
         for cu_records in wire["wave_records"]:
             records = []
             for wf_id, age_rank, start_pc_idx, next_pc_idx, cap in cu_records:
-                wstats = WavefrontStats()
-                wstats.restore_capture(tuple(cap))
+                if type(cap) is not list or len(cap) != _WAVE_CAPTURE_LEN:
+                    raise ProtocolError(
+                        f"malformed epoch result: a wavefront stats capture "
+                        f"must be a list of {_WAVE_CAPTURE_LEN} values"
+                    )
                 records.append(
                     WaveEpochRecord(
                         wf_id=int(wf_id),
                         age_rank=int(age_rank),
                         start_pc_idx=int(start_pc_idx),
                         next_pc_idx=int(next_pc_idx),
-                        stats=wstats,
+                        stats=WavefrontStats(*cap),
                     )
                 )
             wave_records.append(tuple(records))

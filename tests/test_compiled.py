@@ -18,7 +18,6 @@ from repro.gpu.gpu import Gpu
 from repro.gpu.isa import (
     CompiledProgram,
     Instruction,
-    InstructionKind,
     Program,
     compile_program,
     barrier,
@@ -33,11 +32,13 @@ from repro.gpu.isa import (
 from repro.gpu.kernel import Kernel, WorkgroupGeometry
 from repro.runtime.cache import canonicalize
 
-from helpers import make_loop_program
+from helpers import make_loop_program, reference_columns
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=60)
 
-_RATE = st.floats(0.0, 1.0, allow_nan=False)
+# Integer rates (0, 1) equal float ones: the decode must keep each
+# instruction's own field types, not merge equal instructions.
+_RATE = st.one_of(st.floats(0.0, 1.0, allow_nan=False), st.sampled_from([0, 1]))
 
 _PLAIN_INSTRS = st.one_of(
     st.builds(valu, cycles=st.integers(1, 8)),
@@ -51,8 +52,13 @@ _PLAIN_INSTRS = st.one_of(
 
 @st.composite
 def programs(draw) -> Program:
-    """Arbitrary valid programs: mixed body, backwards branches, ENDPGM."""
+    """Arbitrary valid programs: mixed body, backwards branches, ENDPGM.
+
+    The body may repeat, so one instruction object can sit at many PCs,
+    as in generated workloads.
+    """
     instrs = list(draw(st.lists(_PLAIN_INSTRS, min_size=1, max_size=12)))
+    instrs *= draw(st.integers(1, 3))
     for _ in range(draw(st.integers(0, 2))):
         target = draw(st.integers(0, len(instrs) - 1))
         instrs.append(branch(target, draw(st.integers(0, 5))))
@@ -71,13 +77,20 @@ class TestRoundTrip:
     def test_flat_arrays_mirror_instructions(self, program):
         cp = program.compiled
         assert len(cp) == len(program)
-        for pc, instr in enumerate(program.instructions):
-            assert cp.kinds[pc] == int(instr.kind)
-            assert cp.cycles[pc] == instr.cycles
-            assert cp.batchable[pc] == (
-                instr.kind in (InstructionKind.VALU, InstructionKind.SALU,
-                               InstructionKind.BRANCH)
-            )
+        for column, want in reference_columns(program).items():
+            got = getattr(cp, column)
+            assert type(got) is tuple, column
+            # repr pins element types and every float bit.
+            assert list(map(repr, got)) == list(map(repr, want)), column
+
+    def test_equal_instructions_keep_their_own_field_types(self):
+        # load(1, ...) == load(1.0, ...), yet each PC decodes its own
+        # object's values: rows are keyed by identity, not equality.
+        int_rate, float_rate = load(1, 0), load(1.0, 0.0)
+        assert int_rate == float_rate
+        cp = Program.from_list([int_rate, float_rate, int_rate, endpgm()]).compiled
+        assert list(map(repr, cp.l1_hit_rates)) == ["1", "1.0", "1", "0.0"]
+        assert list(map(repr, cp.l2_hit_rates)) == ["0", "0.0", "0", "0.0"]
 
     @DETERMINISTIC
     @given(program=programs(), freq=st.floats(0.5, 3.0, allow_nan=False))

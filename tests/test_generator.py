@@ -10,8 +10,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import reference_build_program, reference_columns
 from repro.gpu.isa import InstructionKind
+from repro.workloads import generator
 from repro.workloads.generator import (
     KernelSpec,
     PhaseSpec,
@@ -167,3 +170,82 @@ def test_jitter_helper_bounds():
         assert jittered.iterations >= 1
         assert jittered.valu >= 0
         assert jittered.loads >= 0
+
+
+# ----------------------------------------------------------------------
+# Shared-instruction construction vs the per-instruction reference
+
+def reference_kernel(kernel_spec, scale, monkeypatch):
+    """``build_kernel`` with the per-instruction reference emitter."""
+    with monkeypatch.context() as m:
+        m.setattr(generator, "build_program", reference_build_program)
+        return build_kernel(kernel_spec, scale)
+
+
+def assert_same_construction(kernel_spec, scale, monkeypatch):
+    built = build_kernel(kernel_spec, scale)
+    reference = reference_kernel(kernel_spec, scale, monkeypatch)
+    assert len(built.variants) == len(reference.variants)
+    for got, want in zip(built.variants, reference.variants):
+        assert got.name == want.name
+        assert got.instructions == want.instructions
+        for column, want_col in reference_columns(want).items():
+            got_col = getattr(got.compiled, column)
+            assert type(got_col) is tuple, column
+            # repr pins element types (1, 1.0 and True compare equal)
+            # and every float bit, including the sign of zero.
+            assert list(map(repr, got_col)) == list(map(repr, want_col)), column
+        # Sharing bound: per phase at most one VALU, load, store,
+        # waitcnt, barrier and loop branch; plus preamble VALU, outer
+        # branch and ENDPGM.
+        distinct = len(set(map(id, got.instructions)))
+        assert distinct <= 6 * len(kernel_spec.phases) + 3
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.4, 1.0])
+def test_suite_programs_match_reference(scale, monkeypatch):
+    for name in workload_names():
+        for kernel_spec in workload(name).kernels:
+            assert_same_construction(kernel_spec, scale, monkeypatch)
+
+
+phase_specs = st.fixed_dictionaries(dict(
+    valu=st.integers(0, 12),
+    valu_cycles=st.integers(1, 8),
+    loads=st.integers(0, 4),
+    stores=st.integers(0, 3),
+    l1_hit=st.floats(0.0, 1.0),
+    l2_hit=st.floats(0.0, 1.0),
+    fence_every=st.integers(1, 5),
+    barrier_at_end=st.booleans(),
+    iterations=st.integers(1, 12),
+    unroll=st.booleans(),
+    pattern_jitter=st.floats(0.0, 1.0),
+)).filter(lambda p: p["valu"] + p["loads"] + p["stores"] > 0).map(lambda p: PhaseSpec(**p))
+
+kernel_specs = st.builds(
+    KernelSpec,
+    name=st.just("gen"),
+    phases=st.lists(phase_specs, min_size=1, max_size=4).map(tuple),
+    outer_iterations=st.integers(1, 6),
+    n_variants=st.integers(1, 4),
+    variant_jitter=st.sampled_from([0.0, 0.2, 0.45]),
+    stagger_valu=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kernel_spec=kernel_specs, scale=st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+def test_generated_programs_match_reference(kernel_spec, scale, monkeypatch):
+    assert_same_construction(kernel_spec, scale, monkeypatch)
+
+
+def test_fields_of_absent_kinds_are_not_validated():
+    # Only emitted instructions validate their fields, as in the
+    # reference: valu_cycles=0 is legal while the phase has no VALU.
+    phases = [PhaseSpec(valu=0, valu_cycles=0, loads=1, iterations=3)]
+    assert build_program(phases).instructions == reference_build_program(phases).instructions
+    with pytest.raises(ValueError):
+        build_program([PhaseSpec(valu=1, valu_cycles=0, loads=1)])

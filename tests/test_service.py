@@ -163,6 +163,76 @@ def test_epoch_result_wire_round_trip(pcstall_trace):
         assert again == obs["result"]
 
 
+def _bad_captures(result_wire, json_safe=False):
+    """(label, wire) pairs whose one CU or wave capture is malformed.
+
+    ``json_safe`` drops the tuple case, which JSON turns into a list.
+    """
+    import copy
+
+    mutations = [
+        ("short", lambda cap: cap[:-1]),
+        ("long", lambda cap: cap + [0]),
+        ("str", lambda cap: "x" * len(cap)),
+        ("dict", lambda cap: {str(i): v for i, v in enumerate(cap)}),
+    ]
+    if not json_safe:
+        mutations.append(("tuple", tuple))
+    out = []
+    for where in ("cu", "wave"):
+        for label, mutate in mutations:
+            bad = copy.deepcopy(result_wire)
+            if where == "cu":
+                bad["cu_stats"][0] = mutate(bad["cu_stats"][0])
+            else:
+                record = bad["wave_records"][0][0]
+                record[4] = mutate(record[4])
+            out.append((f"{where}-{label}", bad))
+    return out
+
+
+def test_epoch_result_from_wire_rejects_malformed_captures(pcstall_trace):
+    path, _ = pcstall_trace
+    trace = load_replay_trace(path)
+    for label, bad in _bad_captures(trace.observations[0]["result"]):
+        with pytest.raises(ProtocolError, match="capture"):
+            proto.epoch_result_from_wire(bad)
+            pytest.fail(label)
+
+
+def _pc_table_state(controller):
+    from dataclasses import astuple
+
+    return [
+        (t.lookups, t.hits, t.updates, t.evictions, [astuple(e) for e in t._entries])
+        for t in controller.predictor.tables
+    ]
+
+
+def test_malformed_observation_is_rejected_without_state_change(server, pcstall_trace):
+    path, _ = pcstall_trace
+    trace = load_replay_trace(path)
+    with DecisionClient(port=server.port).connect() as client:
+        client.open_session(trace.design, trace.sim_config_wire,
+                            objective=trace.objective)
+        obs = trace.observations
+        assert client.observe(0, obs[0]["result"], truth_lines=obs[0]["truth"]) \
+            == trace.chosen[1]
+        (session,) = server.service._sessions.values()
+        before = _pc_table_state(session.controller)
+        bad_wires = _bad_captures(obs[1]["result"], json_safe=True)
+        for label, bad in bad_wires:
+            with pytest.raises(ServiceError, match="bad_observation"):
+                client.observe(1, bad, truth_lines=obs[1]["truth"])
+            assert session.expected_epoch == 1, label
+            assert _pc_table_state(session.controller) == before, label
+        # The session is intact: the next well-formed observation still
+        # gets the offline run's decision.
+        assert client.observe(1, obs[1]["result"], truth_lines=obs[1]["truth"]) \
+            == trace.chosen[2]
+    assert server.counter("service_bad_requests") == len(bad_wires)
+
+
 def test_sim_config_wire_round_trip():
     from repro.telemetry.schema import sim_config_to_wire
 
