@@ -26,9 +26,6 @@ Public API tour:
   auditors over run artifacts, cross-checkers for the repo's
   bit-exactness claims, and the executable specs behind the property
   suites; wired into ``repro check``.
-* :mod:`repro.bench` - the performance-regression benchmark suite:
-  ``repro bench`` times the hot paths, emits versioned ``BENCH_*.json``
-  reports, and gates them against committed baselines in CI.
 
 Quickstart::
 

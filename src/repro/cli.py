@@ -50,13 +50,6 @@ Commands:
   and cross-check the engine / sweep-parallelism / oracle-fork
   bit-exactness claims. Exits nonzero on any violation. ``--deep``
   widens the matrix; ``--json FILE`` saves the machine-readable report.
-* ``bench``    - performance microbenchmarks of the simulator's hot
-  paths (core engine loop, issue scan, oracle sampling, predictor
-  update, end to end), emitting a versioned ``BENCH_*.json`` report
-  (``--json FILE``) and optionally gating against a committed baseline
-  (``--against FILE``, fail when a work counter differs from it or
-  instr/sec or the batched-issue ratio drops more than ``--gate`` below
-  it).
 
 Sweep commands (``run``/``compare``/``figure``) accept ``--workers N``
 to fan cells across processes, and cache results on disk (disable with
@@ -829,48 +822,6 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import (
-        compare_reports,
-        load_bench_json,
-        render_report,
-        run_benchmarks,
-        save_bench_json,
-    )
-
-    only = args.only.split(",") if args.only else None
-    say = None if args.quiet else (lambda msg: print(msg, flush=True))
-    if say:
-        suite = "quick" if args.quick else "full"
-        say(f"repro bench ({suite} suite, {args.engine} engine):")
-    report = run_benchmarks(
-        quick=args.quick,
-        engine=args.engine,
-        only=only,
-        repeats=args.repeats,
-        log=say,
-    )
-    print(render_report(report))
-    if args.json:
-        path = save_bench_json(report, args.json)
-        print(f"\nbench report written to {path}")
-    if args.against:
-        baseline = load_bench_json(args.against)
-        comparison = compare_reports(report, baseline, gate=args.gate)
-        print()
-        print(comparison.render())
-        if comparison.counter_mismatches:
-            names = {m.bench for m in comparison.counter_mismatches}
-            print(f"\nFAIL: work counters differ from the baseline in "
-                  f"{', '.join(sorted(names))}")
-        if comparison.regressions:
-            names = {d.bench for d in comparison.regressions}
-            print(f"\nFAIL: performance regression in {', '.join(sorted(names))}")
-        if not comparison.ok:
-            return 1
-    return 0
-
-
 def cmd_learn_extract(args) -> int:
     from repro.learn import DatasetError, extract_dataset, save_dataset
 
@@ -1429,33 +1380,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--quiet", action="store_true",
                     help="suppress per-cell progress lines")
     sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser(
-        "bench",
-        help="run the hot-path microbenchmark suite; emit/compare "
-             "versioned BENCH_*.json perf reports",
-    )
-    sp.add_argument("--quick", action="store_true",
-                    help="CI-smoke sizing (fewer epochs/samples per bench)")
-    sp.add_argument("--engine", choices=("event", "reference"), default="event",
-                    help="timing-engine implementation to benchmark")
-    sp.add_argument("--only", default=None,
-                    help="comma-separated benchmark subset (default: all)")
-    sp.add_argument("--repeats", type=int, default=None,
-                    help="timed repetitions per bench, best wall kept "
-                         "(default: 2 quick / 3 full)")
-    sp.add_argument("--json", metavar="FILE",
-                    help="write the machine-readable bench report to FILE")
-    sp.add_argument("--against", metavar="FILE",
-                    help="compare against a baseline report; exit 1 when a "
-                         "work counter differs (same suite and engine) or "
-                         "a gated metric regresses past --gate")
-    sp.add_argument("--gate", type=float, default=0.20,
-                    help="allowed fractional drop vs the baseline "
-                         "(default %(default)s)")
-    sp.add_argument("--quiet", action="store_true",
-                    help="suppress per-bench progress lines")
-    sp.set_defaults(fn=cmd_bench)
     return p
 
 

@@ -3,10 +3,11 @@
 The hot objects count the work they do (`plain int` attributes, bumped
 on the hot path, never read by the timing model) and this module
 collects, merges and formats those counters. They are deterministic, so
-they are compared exactly (``repro bench --against``, ``perfbench``'s
-expected outputs): a change to them is an algorithmic change, whereas an
-engine speed-up leaves them as they are. Wall-clock speed is measured by
-same-machine A/B runs of ``perfbench/``, not by these counters.
+they are compared exactly (the pins in ``tests/test_profiling.py``,
+``perfbench``'s expected outputs): a change to them is an algorithmic
+change, whereas an engine speed-up leaves them as they are. Wall-clock
+speed is measured by same-machine A/B runs of ``perfbench/``
+(``scripts/ab.py``), not by these counters.
 
 * ``cycles``                 - scheduler steps simulated across all CUs.
 * ``waves_scanned``          - wavefront readiness examinations. The

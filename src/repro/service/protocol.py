@@ -131,6 +131,10 @@ def sim_config_from_wire(wire: Mapping[str, Any]) -> SimConfig:
 #: ``WavefrontStats.capture()``); a wire capture must match exactly.
 _CU_CAPTURE_LEN = len(fields(CuEpochStats))
 _WAVE_CAPTURE_LEN = len(fields(WavefrontStats))
+#: Element types a wire capture may hold. Checked by exact type, since
+#: ``bool`` subclasses ``int``; a ``str`` or ``None`` would otherwise
+#: decode and fail later, inside the controller.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def epoch_result_from_wire(wire: Mapping[str, Any]) -> EpochResult:
@@ -140,25 +144,28 @@ def epoch_result_from_wire(wire: Mapping[str, Any]) -> EpochResult:
     per-CU and per-wavefront stats are constructed positionally from
     their flat ``capture()`` lists, in field order. Each capture's
     length is checked first, because a short one would otherwise
-    silently take the remaining fields' defaults.
+    silently take the remaining fields' defaults, and so is each
+    element's type: every one must be an ``int`` or a ``float``.
     """
     try:
         cu_stats = []
         for cap in wire["cu_stats"]:
-            if type(cap) is not list or len(cap) != _CU_CAPTURE_LEN:
+            if (type(cap) is not list or len(cap) != _CU_CAPTURE_LEN
+                    or not _NUMBER_TYPES.issuperset(map(type, cap))):
                 raise ProtocolError(
                     f"malformed epoch result: a CU stats capture must be "
-                    f"a list of {_CU_CAPTURE_LEN} values"
+                    f"a list of {_CU_CAPTURE_LEN} numbers"
                 )
             cu_stats.append(CuEpochStats(*cap))
         wave_records = []
         for cu_records in wire["wave_records"]:
             records = []
             for wf_id, age_rank, start_pc_idx, next_pc_idx, cap in cu_records:
-                if type(cap) is not list or len(cap) != _WAVE_CAPTURE_LEN:
+                if (type(cap) is not list or len(cap) != _WAVE_CAPTURE_LEN
+                        or not _NUMBER_TYPES.issuperset(map(type, cap))):
                     raise ProtocolError(
                         f"malformed epoch result: a wavefront stats capture "
-                        f"must be a list of {_WAVE_CAPTURE_LEN} values"
+                        f"must be a list of {_WAVE_CAPTURE_LEN} numbers"
                     )
                 records.append(
                     WaveEpochRecord(

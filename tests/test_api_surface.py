@@ -76,9 +76,6 @@ class TestTopLevel:
         "repro.runtime.progress",
         "repro.runtime.profiling",
         "repro.runtime.wire",
-        "repro.bench",
-        "repro.bench.baseline",
-        "repro.bench.micro",
         "repro.learn",
         "repro.learn.features",
         "repro.learn.dataset",

@@ -175,6 +175,11 @@ def _bad_captures(result_wire, json_safe=False):
         ("long", lambda cap: cap + [0]),
         ("str", lambda cap: "x" * len(cap)),
         ("dict", lambda cap: {str(i): v for i, v in enumerate(cap)}),
+        # One element of a wrong type: index 3 is a CU's `issued` and a
+        # wave's `stall_ns`, which the controller reads.
+        ("str-element", lambda cap: cap[:3] + ["1e9"] + cap[4:]),
+        ("none-element", lambda cap: cap[:3] + [None] + cap[4:]),
+        ("bool-element", lambda cap: cap[:3] + [True] + cap[4:]),
     ]
     if not json_safe:
         mutations.append(("tuple", tuple))

@@ -403,6 +403,23 @@ class TestDifferentialEndToEnd:
         )
         assert report.ok, report.render()
 
+    def test_run_check_audits_every_cell_and_runs_every_differential(self):
+        from repro.validation.check import CheckConfig, run_check
+
+        cfg = CheckConfig(workloads=("comd",), designs=("PCSTALL",), scale=0.03,
+                          max_epochs=80, oracle_sample_freqs=3)
+        progress = []
+        report = run_check(cfg, log=progress.append)
+        assert report.ok, report.render()
+        assert report.cells_audited == ["comd/PCSTALL"]
+        assert [(d.name, d.subject) for d in report.differentials] == [
+            ("engine", "comd/PCSTALL"),
+            ("sweep-parallelism", "comd/PCSTALL"),
+            ("oracle-fork", "comd/oracle"),
+        ]
+        assert report.as_dict()["counters"] == {"validation_differentials_run": 3}
+        assert progress[0] == "audited comd/PCSTALL: 0 violation(s)"
+
 
 # ----------------------------------------------------------------------
 # Property suites (Hypothesis, derandomised)
